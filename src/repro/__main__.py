@@ -851,6 +851,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     serve_parser.set_defaults(handler=_cmd_serve)
 
     args = parser.parse_args(argv)
+    if getattr(args, "scale", None) is not None:
+        try:
+            _resolved_config(args)
+        except ValueError as exc:
+            parser.error(f"argument --scale: {exc}")
 
     def on_sigterm(signum: int, frame: object) -> None:
         # Raising (not exiting) unwinds through every finally block:

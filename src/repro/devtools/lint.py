@@ -8,8 +8,8 @@ v2 runs in three phases:
    bytes and the engine's own source, so they are cached
    content-addressed through :mod:`repro.io.artifacts` and only
    re-computed for files that changed.  Cache misses can be
-   summarized in parallel through ``repro.parallel`` itself -- the
-   linter self-hosts the fork machinery it audits.
+   summarized in parallel on a :class:`~repro.parallel.pool.WorkerPool`
+   -- the linter self-hosts the fork machinery it audits.
 2. **Graph** -- the summaries compose into a module/call graph
    (:mod:`repro.devtools.graph`).
 3. **Interprocedural rules** -- REP009-REP012 run over the graph
@@ -33,7 +33,7 @@ import ast
 import dataclasses
 import hashlib
 import os
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.devtools.config import (
     DEFAULT_RULES,
@@ -59,7 +59,7 @@ from repro.devtools.summaries import (
     summarize_source,
 )
 from repro.io.artifacts import ArtifactCache, artifact_key
-from repro.parallel.fanout import ordered_fanout, resolve_jobs
+from repro.parallel.pool import WorkerPool, fork_available, resolve_jobs
 
 
 @dataclasses.dataclass(frozen=True)
@@ -189,6 +189,11 @@ def _summary_key(source: str, path: str, pin: str) -> str:
     )
 
 
+def _summarize_task(item: Tuple[str, str]) -> FileSummary:
+    """Pool task: summarize one ``(path, source)`` pair."""
+    return summarize_path(*item)
+
+
 def _gather_summaries(
     files: Sequence[str],
     sources: Dict[str, str],
@@ -197,10 +202,11 @@ def _gather_summaries(
 ) -> List[FileSummary]:
     """Phase 1 over *files*: cache hits load, misses compute (+store).
 
-    Misses fan out through ``ordered_fanout`` when more than one job
-    is requested; the parent stores results, so no two processes ever
-    write the cache concurrently.  Output order is ``files`` order
-    regardless of jobs or hit pattern.
+    Misses are summarized on a worker pool when more than one job is
+    requested (and the platform can fork), else in a serial loop; the
+    parent stores results, so no two processes ever write the cache
+    concurrently.  Output order is ``files`` order regardless of jobs
+    or hit pattern.
     """
     summaries: Dict[str, FileSummary] = {}
     keys: Dict[str, str] = {}
@@ -215,21 +221,21 @@ def _gather_summaries(
                 and payload.path == path
             ):
                 summaries[path] = payload
-    missing = [path for path in files if path not in summaries]
-    if missing:
-        width = min(resolve_jobs(jobs), len(missing))
-        produced = ordered_fanout(
-            [
-                (lambda p=path: summarize_path(p, sources[p]))
-                for path in missing
-            ],
-            jobs=width,
-            labels=[f"lint-summary:{path}" for path in missing],
-        )
-        for path, summary in zip(missing, produced):
-            summaries[path] = summary
-            if cache is not None:
-                cache.store(keys[path], summary)
+    missing = [(path, sources[path]) for path in files if path not in summaries]
+    width = min(resolve_jobs(jobs), len(missing))
+    if width > 1 and fork_available():
+        with WorkerPool(width) as pool:
+            produced = pool.run_batch(
+                _summarize_task,
+                missing,
+                labels=[f"lint-summary:{path}" for path, _ in missing],
+            )
+    else:
+        produced = [_summarize_task(item) for item in missing]
+    for (path, _), summary in zip(missing, produced):
+        summaries[path] = summary
+        if cache is not None:
+            cache.store(keys[path], summary)
     return [summaries[path] for path in files]
 
 

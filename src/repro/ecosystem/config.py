@@ -12,6 +12,7 @@ fast unit tests.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Dict, Tuple
 
 from repro.ecosystem.entities import AddressStrategy, CampaignClass
@@ -301,13 +302,17 @@ def scaled_config(config: EcosystemConfig, scale: float) -> EcosystemConfig:
     deliberately left fixed: Alexa/ODP list sizes are a property of the
     measurement apparatus, not of how much spam exists -- and keeping
     them fixed preserves each feed's benign-contamination *rates* while
-    the spam side grows.
+    the spam side grows.  A *scale* that is not a finite positive
+    number, or that overflows a count, raises :class:`ValueError`.
     """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be finite and positive, got {scale!r}")
 
     def n(count: int) -> int:
-        return max(1, int(round(count * scale)))
+        scaled = count * scale
+        if not math.isfinite(scaled):
+            raise ValueError(f"scale {scale!r} overflows the config")
+        return max(1, int(round(scaled)))
 
     classes = {
         cls: dataclasses.replace(cfg, count=n(cfg.count))

@@ -82,8 +82,7 @@ from repro.ecosystem.entities import (
 from repro.ecosystem.registry import Registry
 from repro.ecosystem.world import HostingRecord, World
 from repro.obs.hosttime import Stopwatch, peak_rss_kib
-from repro.parallel.fanout import fork_available, resolve_jobs
-from repro.parallel.pool import WorkerPool
+from repro.parallel.pool import WorkerPool, fork_available, resolve_jobs
 from repro.simtime import Timeline
 
 #: Maximum campaigns per campaign-partition unit.  (program, botnet)

@@ -25,7 +25,6 @@ from repro.feeds.honey_account import HoneyAccountConfig, HoneyAccountFeed
 from repro.feeds.human import HumanFeedConfig, HumanIdentifiedFeed
 from repro.feeds.hybrid import HybridFeedConfig, HybridFeed
 from repro.feeds.mx_honeypot import MxHoneypotConfig, MxHoneypotFeed
-from repro.parallel import fork_available, ordered_fanout, resolve_jobs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.parallel import WorkerPool
@@ -186,42 +185,27 @@ def land_dataset(writer: "RunWriter", dataset: FeedDataset) -> None:
     )
 
 
-def _land_columnar(
-    results: Dict[str, FeedDataset], writer: Optional["RunWriter"]
-) -> None:
-    for dataset in results.values():
-        obs.add("feeds.records", dataset.total_samples)
-        if writer is not None:
-            with obs.span(f"store.land:{dataset.name}"):
-                land_dataset(writer, dataset)
-
-
 def collect_all(
     world: World,
     collectors: Optional[Iterable[FeedCollector]] = None,
-    jobs: Optional[int] = None,
     writer: Optional["RunWriter"] = None,
     pool: Optional["WorkerPool"] = None,
 ) -> Dict[str, FeedDataset]:
     """Run every collector against *world*; keyed by feed mnemonic.
 
-    With ``jobs`` > 1 the collectors run on a forked worker pool.  Each
-    collector draws only from its own seed-derived RNG streams and the
-    results are reassembled in collector order, so the datasets are
-    byte-identical to a serial run at any worker count; parallel
-    results come back as column-backed datasets (cheap to transport),
-    which serve the same statistics in the same order.
-
-    A persistent *pool* (forked after :func:`set_pool_state` published
-    this exact world and collector list) takes precedence over the
-    per-call fan-out: collection then ships only collector indices to
-    the already-forked workers, sharing the fork bill with later
-    stages.  The two parallel paths and the serial path all produce
-    byte-identical datasets.
+    With an open persistent *pool* (forked after :func:`set_pool_state`
+    published this exact world and collector list) the collectors run
+    in the already-forked workers, which receive only collector indices
+    and share the fork bill with later stages.  Each collector draws
+    only from its own seed-derived RNG streams and the results are
+    reassembled in collector order, so the datasets are byte-identical
+    to the serial loop's; pooled results come back as column-backed
+    datasets (cheap to transport), which serve the same statistics in
+    the same order.
 
     With a *writer* attached, each dataset lands in the sighting store
-    as it is collected (in collector order on the parallel path, where
-    children return columns and the parent lands them).  Landing is a
+    as it is collected (in collector order on the pool path, where
+    workers return columns and the parent lands them).  Landing is a
     store-side effect only -- the returned datasets are identical with
     or without it.
     """
@@ -236,34 +220,20 @@ def collect_all(
             raise ValueError(f"duplicate feed name {name!r}")
         seen.add(name)
 
-    labels = [f"feed.collect:{collector.name}" for collector in ordered]
     if pool is not None and not pool.closed and len(ordered) > 1:
         packed = pool.run_batch(
-            _pool_collect_task, list(range(len(ordered))), labels=labels
+            _pool_collect_task,
+            list(range(len(ordered))),
+            labels=[f"feed.collect:{c.name}" for c in ordered],
         )
         results = {
             p.name: ColumnarFeedDataset.from_packed(p) for p in packed
         }
-        _land_columnar(results, writer)
-        return results
-
-    width = min(resolve_jobs(jobs), len(ordered))
-    if width > 1 and fork_available():
-        # Pre-warm the shared placement index so every forked worker
-        # inherits it copy-on-write instead of rebuilding it.
-        world.placements_by_domain()
-        packed = ordered_fanout(
-            [
-                (lambda c=collector: c.collect(world).packed())
-                for collector in ordered
-            ],
-            jobs=width,
-            labels=labels,
-        )
-        results = {
-            p.name: ColumnarFeedDataset.from_packed(p) for p in packed
-        }
-        _land_columnar(results, writer)
+        for dataset in results.values():
+            obs.add("feeds.records", dataset.total_samples)
+            if writer is not None:
+                with obs.span(f"store.land:{dataset.name}"):
+                    land_dataset(writer, dataset)
         return results
 
     datasets: Dict[str, FeedDataset] = {}

@@ -3,49 +3,45 @@
 The pipeline's expensive stages decompose into tasks that are pure
 functions of state created *before* the fan-out point: the ten feed
 collectors are independent given the world (each draws from its own
-``stats.rng.derive_rng(seed, label)`` stream), and every figure/table
-is an independent function of the warmed analysis context.  This
-package executes such task lists across worker processes under a
-strict determinism contract:
+``stats.rng.derive_rng(seed, label)`` stream), every figure/table is an
+independent function of the warmed analysis context, and every world
+shard is an independent function of the build plan.  This package
+executes such tasks across worker processes under a strict
+determinism contract:
 
 * **Seeding** -- tasks never share an RNG; every stream is derived
   from the root seed plus a stable task label, so a task's draws are
   identical no matter which worker runs it, or when.
 * **Ordered reduction** -- results are reassembled by *task index*,
-  never completion order.  ``ordered_fanout(tasks, jobs=N)`` returns
-  byte-identical output for every ``N`` (including 1).
+  never completion order, so output is byte-identical at every worker
+  count (including 1).
 * **Copy-on-write state** -- workers are forked, so they inherit the
   parent's world, datasets and memoized caches without serialization;
-  only task results cross the process boundary.  Callers pre-warm any
-  shared lazily-built index before fanning out so no worker pays the
-  first-toucher cost.
+  only small task descriptors and task results cross the process
+  boundary.  Callers pre-warm any shared lazily-built index before
+  forking so no worker pays the first-toucher cost.
 
-On platforms without ``fork`` (or inside a daemonic worker, where
-nesting pools is impossible) execution transparently degrades to the
-serial path -- same results, one core.
-
-Two executors implement the contract: :func:`ordered_fanout` forks a
-throwaway pool per fan-out (simple, self-contained), and
+One executor implements the contract:
 :class:`~repro.parallel.pool.WorkerPool` forks **once** per run right
-after the shared world is built and stays alive across stages, so
-collect and render share a single fork bill (see the pool module
-docstring for the placement rationale).
+after the shared world is built and stays alive across stages, so collect and render share a
+single fork bill (see the pool module docstring for the placement
+rationale).  Callers without a pool -- width 1, platforms without
+``fork``, daemonic workers that cannot nest a pool, or a pool that
+crashed -- run the same task functions in a plain serial loop.
 """
 
-from repro.parallel.fanout import (
-    FanoutUnavailable,
+from repro.parallel.pool import (
+    PoolClosed,
+    WorkerCrashed,
+    WorkerPool,
     fork_available,
-    ordered_fanout,
     resolve_jobs,
 )
-from repro.parallel.pool import PoolClosed, WorkerCrashed, WorkerPool
 
 __all__ = [
-    "FanoutUnavailable",
     "PoolClosed",
     "WorkerCrashed",
     "WorkerPool",
     "fork_available",
-    "ordered_fanout",
     "resolve_jobs",
 ]

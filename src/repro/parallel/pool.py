@@ -1,12 +1,10 @@
-"""Persistent pre-forked worker pool.
+"""Persistent pre-forked worker pool: the project's one parallel executor.
 
-:func:`~repro.parallel.fanout.ordered_fanout` forks a fresh pool for
-every fan-out, which makes each stage pay the full fork bill: a
-stop-the-world ``gc.collect``, page-table setup for the whole parent
-heap, and interpreter warm-up in every child.  When a run fans out more
-than once (collect, then render), that overhead is paid per stage and
-can exceed the parallel win -- the failure mode BENCH_pipeline.json
-documented on the way here.
+Forking is expensive: a stop-the-world ``gc.collect``, page-table setup
+for the whole parent heap, and interpreter warm-up in every child.
+When a run fans out more than once (collect, then render), forking per
+stage pays that bill per stage and can exceed the parallel win -- the
+failure mode BENCH_pipeline.json documented on the way here.
 
 :class:`WorkerPool` forks **once**, immediately after the expensive
 shared state (the simulated world) is built, and keeps its workers
@@ -15,16 +13,14 @@ inherited copy-on-write by every worker for the lifetime of the pool;
 later stages ship only *small task descriptors* down a per-worker pipe:
 a module-level function (pickled by reference, a few bytes) plus a
 small payload such as a collector index.  Results come back tagged
-with their submission index and are reduced in that order, so -- like
-``ordered_fanout`` -- worker count is pure execution width: it can
-change wall time, never bytes.
+with their submission index and are reduced in that order, so worker
+count is pure execution width: it can change wall time, never bytes.
 
-The per-task accounting protocol is shared with ``ordered_fanout``:
-workers report ``(index, result, pid, duration, counter-deltas)``, the
-parent folds counter deltas in task-index order (ints stay ints) and
-reduces pid-keyed durations into densely renumbered per-worker metrics.
-Serial, legacy-fanout, and pool runs therefore produce identical
-counter snapshots and byte-identical artifacts.
+Per-task accounting: workers report ``(index, result, pid, duration,
+counter-deltas)``, the parent folds counter deltas in task-index order
+(ints stay ints) and reduces pid-keyed durations into densely
+renumbered per-worker metrics.  Serial and pool runs therefore produce
+identical counter totals and byte-identical artifacts.
 
 Crash safety: task submission and result collection multiplex over the
 result pipes *and* the worker process sentinels, so a worker dying
@@ -38,6 +34,7 @@ import gc
 import multiprocessing
 import os
 import signal
+import sys
 from multiprocessing.connection import Connection, wait
 from typing import (
     Any,
@@ -48,17 +45,113 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from repro import obs
 from repro.obs.hosttime import Stopwatch
-from repro.parallel.fanout import (
-    Number,
-    _counter_snapshot,
-    _record_worker_stats,
-    _task_label,
-    fork_available,
-)
+
+#: Whether the oversubscription warning has been printed yet; the
+#: warning fires once per process so a run with many fan-outs does not
+#: spam stderr.
+_WARNED_OVERSUBSCRIBED = False
+
+
+def resolve_jobs(jobs: Optional[int]) -> int:
+    """Normalize a ``--jobs`` value to a concrete worker count.
+
+    ``None`` and ``1`` mean serial; ``0`` or negative mean "all cores".
+    The resolved count only ever affects execution width -- results are
+    reduced by task index -- which is why the ``cpu_count`` dependence
+    below is legitimate.  Requesting more workers than the host has
+    cores is honored (width never changes bytes) but warned about once
+    on stderr and counted, since the extra workers only add contention.
+    """
+    global _WARNED_OVERSUBSCRIBED
+    if jobs is None:
+        return 1
+    if jobs <= 0:
+        return os.cpu_count() or 1  # reprolint: disable=REP007 -- width only
+    cores = os.cpu_count() or 1  # reprolint: disable=REP007 -- warning only
+    if jobs > cores:
+        obs.add("parallel.oversubscribed")
+        if not _WARNED_OVERSUBSCRIBED:
+            # A worker that re-resolves jobs marks only its own copy of
+            # the flag; the cost is at most one duplicate stderr line,
+            # never a changed byte of output.
+            _WARNED_OVERSUBSCRIBED = True  # reprolint: disable=REP009 -- advisory warn-once flag
+            print(
+                f"repro: --jobs {jobs} exceeds the {cores} available "
+                "core(s); extra workers only add contention",
+                file=sys.stderr,
+            )
+    return jobs
+
+
+def fork_available() -> bool:
+    """True when fork-based worker pools can be used here and now."""
+    if multiprocessing.current_process().daemon:
+        # Pool workers are daemonic and may not spawn children; nested
+        # fan-outs inside a worker run serially instead.
+        return False
+    try:
+        multiprocessing.get_context("fork")
+    except ValueError:
+        return False
+    return True
+
+
+#: A counter value: ints stay ints end-to-end so the parallel and
+#: serial metric snapshots serialize identically (5, never 5.0).
+Number = Union[int, float]
+
+
+def _counter_snapshot() -> Dict[str, Number]:
+    """Current counter values of the active tracer (empty when none)."""
+    tracer = obs.current_tracer()
+    if tracer is None:
+        return {}
+    return dict(tracer.metrics.snapshot()["counters"])
+
+
+def _task_label(labels: Optional[Sequence[str]], index: int) -> str:
+    if labels is not None:
+        return labels[index]
+    return f"task[{index}]"
+
+
+def _record_worker_stats(
+    meta: Sequence[Tuple[int, int, float]],
+    labels: Optional[Sequence[str]],
+    elapsed_s: float,
+) -> None:
+    """Reduce worker-reported (index, pid, duration) into trace data.
+
+    Workers are renumbered densely by sorted pid so metric names do not
+    depend on what pids the host handed out.
+    """
+    tracer = obs.current_tracer()
+    if tracer is None:
+        return
+    by_pid: Dict[int, List[Tuple[int, float]]] = {}
+    for index, pid, duration in meta:
+        by_pid.setdefault(pid, []).append((index, duration))
+    total_idle = 0.0
+    for worker, pid in enumerate(sorted(by_pid)):
+        ran = by_pid[pid]
+        busy = sum(duration for _, duration in ran)
+        idle = max(0.0, elapsed_s - busy)
+        total_idle += idle
+        tracer.metrics.add(f"worker.{worker}.tasks", len(ran))
+        tracer.metrics.add(f"worker.{worker}.busy_s", busy)
+        tracer.metrics.set_gauge(f"worker.{worker}.idle_s", idle)
+        for index, duration in sorted(ran):
+            tracer.attach_child(
+                _task_label(labels, index), duration, worker=worker
+            )
+    tracer.metrics.add("fanout.idle_s", total_idle)
+    tracer.annotate(workers=len(by_pid))
+
 
 #: Message opcodes on the task pipe (parent -> worker).
 _OP_TASK = "task"
@@ -80,12 +173,12 @@ def _worker_main(
 ) -> None:
     """Worker loop: run task descriptors until told to stop.
 
-    Every task runs under the same accounting contract as
-    ``fanout._run_indexed``: the worker measures its own duration
-    through the :mod:`repro.obs` clock quarantine and ships the delta
-    of every tracer counter the task incremented, so the parent can
-    fold them back in and keep serial and parallel counter snapshots
-    identical.  Failures are shipped as ``("err", ...)`` messages --
+    The worker measures each task's duration through the
+    :mod:`repro.obs` clock quarantine and ships the delta of every
+    tracer counter the task incremented.  Its tracer is a copy-on-write
+    clone of the parent's, so those increments would otherwise die with
+    the process; the parent folds them back in, keeping serial and
+    parallel counter totals identical.  Failures are shipped as ``("err", ...)`` messages --
     the worker survives a failing task; only the parent decides
     whether to keep going.
     """
@@ -183,9 +276,9 @@ class WorkerPool:
                 "fork-based worker pools are unavailable on this platform"
             )
         context = multiprocessing.get_context("fork")
-        # Freeze before forking (see module docstring): inherited
-        # objects move to the permanent generation so worker GCs skip
-        # them and their copy-on-write pages stay shared.
+        # Freeze before forking: inherited objects move to the
+        # permanent generation, so worker GCs skip them and do not
+        # dirty their copy-on-write pages with GC bookkeeping.
         gc.collect()
         gc.freeze()
         self._frozen = True
@@ -273,86 +366,15 @@ class WorkerPool:
     ) -> List[Any]:
         """Run ``fn(payload)`` for every payload; results in input order.
 
-        Tasks are dealt one at a time to whichever worker is free
-        (completion-order *scheduling* for load balance), but results
-        are slotted by submission index and counter deltas are folded
-        in that same index order, so scheduling never shows up in the
-        output.  ``labels`` (one per payload) names the per-task spans
-        in the run manifest.
+        The collected form of :meth:`run_stream`, traced as one
+        ``parallel.fanout`` span whose children are the per-task spans
+        (``labels``, one per payload, names them in the run manifest).
         """
-        self._check_open()
-        if labels is not None and len(labels) != len(payloads):
-            raise ValueError("labels must match payloads one-to-one")
-        n = len(payloads)
-        results: List[Any] = [None] * n
-        if n == 0:
-            return results
-        with obs.span("parallel.fanout", tasks=n, width=self.width, pool=True):
-            watch = Stopwatch()
-            meta: List[Tuple[int, int, float]] = []
-            deltas_by_index: Dict[int, Dict[str, Number]] = {}
-            busy: Dict[int, int] = {}  # worker -> outstanding task index
-            next_task = 0
-            for worker in range(min(self.width, n)):
-                self._task_conns[worker].send(
-                    (_OP_TASK, next_task, fn, payloads[next_task])
-                )
-                busy[worker] = next_task
-                next_task += 1
-            while busy:
-                ready = wait(
-                    [self._result_conns[w] for w in busy]
-                    + [self._workers[w].sentinel for w in busy]
-                )
-                progressed = False
-                for worker in sorted(busy):
-                    conn = self._result_conns[worker]
-                    if conn not in ready or not conn.poll():
-                        continue
-                    progressed = True
-                    try:
-                        message = conn.recv()
-                    except EOFError:
-                        # The worker died with its result pipe open;
-                        # the EOF is the crash signal.
-                        label = _task_label(labels, busy[worker])
-                        raise self._crash(
-                            worker, f"while running task {label!r}"
-                        ) from None
-                    if message[0] == "err":
-                        _, index, error = message
-                        del busy[worker]
-                        raise error
-                    _, index, result, pid, elapsed, deltas = message
-                    results[index] = result
-                    meta.append((index, pid, elapsed))
-                    deltas_by_index[index] = deltas
-                    if next_task < n:
-                        self._task_conns[worker].send(
-                            (_OP_TASK, next_task, fn, payloads[next_task])
-                        )
-                        busy[worker] = next_task
-                        next_task += 1
-                    else:
-                        del busy[worker]
-                if progressed:
-                    continue
-                for worker in sorted(busy):
-                    if not self._workers[worker].is_alive():
-                        label = _task_label(labels, busy[worker])
-                        raise self._crash(
-                            worker, f"while running task {label!r}"
-                        )
-            obs.add("fanout.tasks", n)
-            # Fold worker counter increments back into the parent
-            # tracer in task-index order: counters are sums, so the
-            # merged totals match a serial run exactly.
-            for index in range(n):
-                deltas = deltas_by_index.get(index, {})
-                for name in sorted(deltas):
-                    obs.add(name, deltas[name])
-            _record_worker_stats(meta, labels, watch.elapsed())
-        return results
+        with obs.span(
+            "parallel.fanout", tasks=len(payloads), width=self.width, pool=True
+        ):
+            stream = self.run_stream(fn, payloads, labels)
+            return [result for _, result in stream]
 
     def run_stream(
         self,
@@ -360,18 +382,22 @@ class WorkerPool:
         payloads: Sequence[Any],
         labels: Optional[Sequence[str]] = None,
     ) -> "Iterator[Tuple[int, Any]]":
-        """Like :meth:`run_batch`, but yield ``(index, result)`` pairs as
-        they become available *in submission-index order*.
+        """Run ``fn(payload)`` for every payload; yield ``(index, result)``
+        pairs as they become available *in submission-index order*.
 
-        The consumer sees results for payload 0, then 1, then 2 -- out-
-        of-order completions are buffered until their turn -- so a
+        Tasks are dealt one at a time to whichever worker is free
+        (completion-order *scheduling* for load balance), but the
+        consumer sees results for payload 0, then 1, then 2 -- out-of-
+        order completions are buffered until their turn -- so a
         downstream reduction can run incrementally (e.g. merging shard
         blobs) without holding every result at once; at most
         ``width - 1`` results are ever buffered.  Counter deltas are
-        folded at emission time, in index order, keeping the counter
-        fold identical to :meth:`run_batch` and to a serial run.  The
-        generator must be fully consumed (or closed) before the next
-        dispatch; an abandoned iterator leaves tasks in flight.
+        folded at emission time, in index order, so the counter totals
+        match a serial run exactly.  A failing task's exception is
+        re-raised once the other in-flight tasks have settled, leaving
+        the pool clean for the next dispatch.  The generator must be
+        fully consumed (or closed) before the next dispatch; an
+        abandoned iterator leaves tasks in flight.
         """
         self._check_open()
         if labels is not None and len(labels) != len(payloads):
@@ -384,14 +410,20 @@ class WorkerPool:
         pending: Dict[int, Any] = {}
         deltas_pending: Dict[int, Dict[str, Number]] = {}
         next_emit = 0
-        busy: Dict[int, int] = {}
+        busy: Dict[int, int] = {}  # worker -> outstanding task index
         next_task = 0
-        for worker in range(min(self.width, n)):
+        failure: Optional[BaseException] = None
+
+        def dispatch(worker: int) -> None:
+            nonlocal next_task
             self._task_conns[worker].send(
                 (_OP_TASK, next_task, fn, payloads[next_task])
             )
             busy[worker] = next_task
             next_task += 1
+
+        for worker in range(min(self.width, n)):
+            dispatch(worker)
         while busy:
             ready = wait(
                 [self._result_conns[w] for w in busy]
@@ -406,29 +438,29 @@ class WorkerPool:
                 try:
                     message = conn.recv()
                 except EOFError:
+                    # The worker died with its result pipe open; the
+                    # EOF is the crash signal.
                     label = _task_label(labels, busy[worker])
                     raise self._crash(
                         worker, f"while running task {label!r}"
                     ) from None
+                del busy[worker]
                 if message[0] == "err":
-                    _, index, error = message
-                    del busy[worker]
-                    raise error
+                    # Stop dealing tasks, but let the ones in flight
+                    # finish: their results would otherwise sit in the
+                    # pipes and be read as the next dispatch's.
+                    if failure is None:
+                        failure = message[2]
+                    continue
                 _, index, result, pid, elapsed, deltas = message
                 pending[index] = result
                 meta.append((index, pid, elapsed))
                 deltas_pending[index] = deltas
-                if next_task < n:
-                    self._task_conns[worker].send(
-                        (_OP_TASK, next_task, fn, payloads[next_task])
-                    )
-                    busy[worker] = next_task
-                    next_task += 1
-                else:
-                    del busy[worker]
+                if failure is None and next_task < n:
+                    dispatch(worker)
             if progressed:
-                while next_emit in pending:
-                    deltas = deltas_pending.pop(next_emit, {})
+                while failure is None and next_emit in pending:
+                    deltas = deltas_pending.pop(next_emit)
                     for name in sorted(deltas):
                         obs.add(name, deltas[name])
                     yield next_emit, pending.pop(next_emit)
@@ -440,12 +472,8 @@ class WorkerPool:
                     raise self._crash(
                         worker, f"while running task {label!r}"
                     )
-        while next_emit in pending:
-            deltas = deltas_pending.pop(next_emit, {})
-            for name in sorted(deltas):
-                obs.add(name, deltas[name])
-            yield next_emit, pending.pop(next_emit)
-            next_emit += 1
+        if failure is not None:
+            raise failure
         obs.add("fanout.tasks", n)
         _record_worker_stats(meta, labels, watch.elapsed())
 

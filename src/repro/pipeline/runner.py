@@ -48,7 +48,6 @@ from repro.parallel import (
     WorkerCrashed,
     WorkerPool,
     fork_available,
-    ordered_fanout,
     resolve_jobs,
 )
 from repro.reporting.charts import (
@@ -72,6 +71,12 @@ FIG9_FEEDS = ("Hyb", "Ac2", "Ac1", "mx3", "mx2", "mx1", "uribl", "dbl", "Hu")
 
 #: The live-mail (honeypot) feeds used for Figures 10-12.
 HONEYPOT_FEEDS = ("Ac2", "Ac1", "mx3", "mx2", "mx1")
+
+#: Every paper artifact, in the order :meth:`PaperPipeline.render_all`
+#: joins them; each has a ``render_<artifact>`` method.
+ARTIFACTS = ("table1", "table2", "table3") + tuple(
+    f"figure{n}" for n in range(1, 13)
+)
 
 
 @dataclasses.dataclass
@@ -268,11 +273,7 @@ class PaperPipeline:
                 self._fork_pool(world, collectors)
                 with obs.span("feeds.collect", feeds=len(collectors)):
                     datasets = collect_all(
-                        world,
-                        collectors,
-                        jobs=self.jobs,
-                        writer=writer,
-                        pool=self._pool,
+                        world, collectors, writer=writer, pool=self._pool
                     )
                 with obs.span("comparison.assemble"):
                     comparison = FeedComparison(
@@ -296,15 +297,15 @@ class PaperPipeline:
     def _fork_pool(
         self, world: World, collectors: List[FeedCollector]
     ) -> None:
-        """Fork the persistent worker pool (cold parallel runs only).
+        """Fork the persistent worker pool (parallel runs only).
 
-        Placement is the tentpole: the fork happens *after* the world
-        is built -- and after its shared placement index is pre-warmed
-        -- so every worker inherits all of it copy-on-write, and
-        *before* collection, so collect and render both reuse the same
-        workers.  Serial runs, platforms without fork, and cache hits
-        (where only the render fan-out remains and the legacy per-stage
-        pool is already optimal) skip the pool entirely.
+        On a cold run the fork happens *after* the world is built --
+        and after its shared placement index is pre-warmed -- so every
+        worker inherits all of it copy-on-write, and *before*
+        collection, so collect and render both reuse the same workers.
+        A state-cache hit skips collection, so :meth:`render_all` forks
+        the pool only if the render cache misses too.  Serial runs and
+        platforms without fork never fork.
         """
         width = resolve_jobs(self.jobs)
         if width < 2 or not fork_available():
@@ -315,7 +316,7 @@ class PaperPipeline:
             try:
                 self._pool = WorkerPool(width)
             except WorkerCrashed:
-                clear_pool_state()  # degrade to the per-stage fan-out
+                clear_pool_state()  # degrade to the serial loops
 
     @property
     def pool_width(self) -> int:
@@ -641,16 +642,14 @@ class PaperPipeline:
     # Everything at once
     # ------------------------------------------------------------------
 
-    def render_all(self, jobs: Optional[int] = None) -> str:
+    def render_all(self) -> str:
         """Every table and figure, separated by blank lines.
 
         The fifteen renderers are independent given a warmed
-        comparison, so with ``jobs`` > 1 they fan out across a worker
-        pool and come back joined in the fixed paper order -- the text
-        is byte-identical at any worker count.  When this run forked a
-        persistent pool, the renderers reuse its workers (one broadcast
-        installs the collected columns; the world was inherited at fork
-        time) instead of paying a second fork.  A warm render cache
+        comparison, so with ``jobs`` > 1 they run on the persistent
+        worker pool and come back joined in the fixed paper order --
+        the text is byte-identical at any worker count.  Without a
+        usable pool they run in a serial loop.  A warm render cache
         short-circuits the whole computation.
         """
         with obs.span("render.all"):
@@ -661,68 +660,56 @@ class PaperPipeline:
                     if isinstance(cached, str):
                         return cached
 
-            renderers = [
-                self.render_table1,
-                self.render_table2,
-                self.render_table3,
-                self.render_figure1,
-                self.render_figure2,
-                self.render_figure3,
-                self.render_figure4,
-                self.render_figure5,
-                self.render_figure6,
-                self.render_figure7,
-                self.render_figure8,
-                self.render_figure9,
-                self.render_figure10,
-                self.render_figure11,
-                self.render_figure12,
-            ]
-            labels = [
-                "render." + fn.__name__[len("render_"):]
-                for fn in renderers
-            ]
-            width = resolve_jobs(self.jobs if jobs is None else jobs)
-            parts: Optional[List[str]] = None
-            if width > 1 and self._pool is not None and not self._pool.closed:
-                result = self.run()
-                try:
-                    if not self._render_installed:
-                        # One broadcast ships the packed columns into
-                        # every worker; the workers warm their own
-                        # comparison there, so the parent never pays
-                        # the crawl.
-                        packed = [
-                            result.datasets[name].packed()
-                            for name in result.datasets
-                        ]
-                        self._pool.broadcast(
-                            _pool_install_render_state,
-                            (packed, self.seed, list(self.feed_order)),
-                        )
-                        self._render_installed = True
-                    parts = self._pool.run_batch(
-                        _pool_render_task,
-                        [fn.__name__ for fn in renderers],
-                        labels=labels,
-                    )
-                except (PoolClosed, WorkerCrashed):
-                    # A reaped or crashed pool degrades to the serial /
-                    # per-stage path below; renders are pure, so the
-                    # text is identical either way.
-                    self.close()
-                    parts = None
+            names = [f"render_{artifact}" for artifact in ARTIFACTS]
+            labels = [f"render.{artifact}" for artifact in ARTIFACTS]
+            parts = self._render_on_pool(names, labels)
             if parts is None:
-                if width > 1:
-                    # Warm the shared expensive analyses before the pool
-                    # forks so every worker inherits them copy-on-write
-                    # instead of recomputing the crawl per renderer.
-                    with obs.span("comparison.warm"):
-                        self.run()
-                        self.comparison.crawl_results()
-                parts = ordered_fanout(renderers, jobs=width, labels=labels)
+                with obs.span("parallel.fanout", tasks=len(names), width=1):
+                    parts = []
+                    for name, label in zip(names, labels):
+                        with obs.span(label, worker=0):
+                            parts.append(getattr(self, name)())
+                    obs.add("worker.0.tasks", len(names))
+                    obs.add("fanout.tasks", len(names))
             text = "\n\n".join(parts)
             with obs.span("cache.store-render"):
                 if cache_key is not None and self.cache is not None:
                     self.cache.store(cache_key, text)
             return text
+
+    def _render_on_pool(
+        self, names: List[str], labels: List[str]
+    ) -> Optional[List[str]]:
+        """The named renderers' output from the worker pool.
+
+        None when this run renders serially: ``jobs`` < 2, no fork, or
+        a pool that is closed or crashes (renders are pure, so the
+        serial loop's text is identical).  A run that hit the state
+        cache never forked; the pool is forked here, now that a render
+        is actually needed.  One broadcast ships the packed columns
+        into every worker, which warms its own comparison there, so the
+        parent never pays the crawl.
+        """
+        if resolve_jobs(self.jobs) < 2:
+            return None
+        result = self.run()
+        if self._pool is None:
+            self._fork_pool(
+                result.world, self._collectors or standard_feed_suite(self.seed)
+            )
+        if self._pool is None or self._pool.closed:
+            return None
+        try:
+            if not self._render_installed:
+                packed = [
+                    result.datasets[name].packed() for name in result.datasets
+                ]
+                self._pool.broadcast(
+                    _pool_install_render_state,
+                    (packed, self.seed, list(self.feed_order)),
+                )
+                self._render_installed = True
+            return self._pool.run_batch(_pool_render_task, names, labels=labels)
+        except (PoolClosed, WorkerCrashed):
+            self.close()
+            return None

@@ -144,7 +144,10 @@ class ServeApp:
                     f"scale must be a number, got {scale_raw!r}"
                 ) from None
             if scale != 1.0:
-                config = scaled_config(config, scale)
+                try:
+                    config = scaled_config(config, scale)
+                except ValueError as exc:
+                    raise BadRequest(str(exc)) from None
         return config, seed
 
     # -- dispatch ------------------------------------------------------

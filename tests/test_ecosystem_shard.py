@@ -36,7 +36,7 @@ from repro.ecosystem.shard import (
 )
 from repro.io.artifacts import fingerprint
 from repro.parallel import WorkerCrashed
-from repro.parallel.fanout import fork_available
+from repro.parallel import fork_available
 from repro.stats.rng import SeedSequence
 
 needs_fork = pytest.mark.skipif(

@@ -9,8 +9,11 @@ analyses iterate.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
+from repro import obs
 from repro.ecosystem import build_world, small_config
 from repro.feeds import (
     clear_pool_state,
@@ -19,14 +22,9 @@ from repro.feeds import (
     standard_feed_suite,
 )
 from repro.feeds.base import ColumnarFeedDataset, FeedDataset, FeedRecord, FeedType
-from repro.parallel import (
-    FanoutUnavailable,
-    WorkerPool,
-    fork_available,
-    ordered_fanout,
-    resolve_jobs,
-)
-from repro.pipeline import PaperPipeline
+from repro.io.artifacts import ArtifactCache
+from repro.parallel import WorkerPool, fork_available, resolve_jobs
+from repro.pipeline import PaperPipeline, runner
 
 EQUIVALENCE_SEEDS = (7, 11)
 
@@ -35,27 +33,36 @@ POOL_SEEDS = (7, 11, 2012)
 
 
 # ----------------------------------------------------------------------
-# The fan-out primitive
+# The ordered fan-out: width, order, counters
 # ----------------------------------------------------------------------
 
 
+# Pool tasks are pickled by reference, so they must be module-level.
+
+
+def _square(i: int) -> int:
+    return i * i
+
+
+def _count_sightings(i: int) -> int:
+    obs.add("test.sightings", i + 1)
+    obs.add("test.floaty", 0.5)
+    return i
+
+
 class TestOrderedFanout:
-    def test_serial_matches_list_comprehension(self):
-        tasks = [lambda i=i: i * i for i in range(8)]
-        assert ordered_fanout(tasks) == [i * i for i in range(8)]
-        assert ordered_fanout(tasks, jobs=1) == [i * i for i in range(8)]
+    """An ordered fan-out runs on the pool's workers, or at width 1 as
+    each caller's serial loop; either way results keep task order."""
 
     def test_parallel_preserves_task_order(self):
-        tasks = [lambda i=i: i * i for i in range(20)]
-        assert ordered_fanout(tasks, jobs=4) == [i * i for i in range(20)]
-
-    def test_closures_cross_the_fork(self):
-        payload = {"nested": [1, 2, 3]}
-        tasks = [lambda k=k: (k, payload["nested"][k]) for k in range(3)]
-        assert ordered_fanout(tasks, jobs=3) == [(0, 1), (1, 2), (2, 3)]
+        with WorkerPool(4) as pool:
+            assert pool.run_batch(_square, list(range(20))) == [
+                i * i for i in range(20)
+            ]
 
     def test_empty_task_list(self):
-        assert ordered_fanout([], jobs=4) == []
+        with WorkerPool(4) as pool:
+            assert pool.run_batch(_square, []) == []
 
     def test_resolve_jobs(self):
         assert resolve_jobs(None) == 1
@@ -63,17 +70,6 @@ class TestOrderedFanout:
         assert resolve_jobs(3) == 3
         assert resolve_jobs(0) >= 1  # all cores
         assert resolve_jobs(-1) >= 1
-
-    def test_require_raises_without_fork(self, monkeypatch):
-        import repro.parallel.fanout as fanout
-
-        monkeypatch.setattr(fanout, "fork_available", lambda: False)
-        tasks = [lambda: 1, lambda: 2]
-        # Degrades to serial by default...
-        assert fanout.ordered_fanout(tasks, jobs=2) == [1, 2]
-        # ...but raises when the caller demands parallelism.
-        with pytest.raises(FanoutUnavailable):
-            fanout.ordered_fanout(tasks, jobs=2, require=True)
 
     def test_fork_available_on_this_platform(self):
         # The CI/test platform is Linux; the parallel paths below all
@@ -85,23 +81,15 @@ class TestOrderedFanout:
         # with the worker process, so a parallel run under-reported
         # everything its tasks counted (cache hits, truncated records,
         # store landings).  Workers now ship per-task deltas.
-        from repro import obs
-
-        def make(i):
-            def task():
-                obs.add("test.sightings", i + 1)
-                obs.add("test.floaty", 0.5)
-                return i
-
-            return task
-
-        tasks = [make(i) for i in range(6)]
+        tasks = list(range(6))
         serial = obs.Tracer()
         with obs.activate(serial):
-            ordered_fanout(tasks, jobs=1)
+            for i in tasks:
+                _count_sightings(i)
         parallel = obs.Tracer()
         with obs.activate(parallel):
-            ordered_fanout(tasks, jobs=3)
+            with WorkerPool(3) as pool:
+                pool.run_batch(_count_sightings, tasks)
         for name in ("test.sightings", "test.floaty"):
             s = serial.metrics.counter(name)
             p = parallel.metrics.counter(name)
@@ -168,15 +156,25 @@ class TestColumnarDataset:
 # ----------------------------------------------------------------------
 
 
+def _pool_collect(world, seed, jobs):
+    collectors = standard_feed_suite(seed)
+    set_pool_state(world, collectors)
+    try:
+        with WorkerPool(jobs) as pool:
+            return collect_all(world, collectors, pool=pool)
+    finally:
+        clear_pool_state()
+
+
 @pytest.mark.parametrize("seed", EQUIVALENCE_SEEDS)
 def test_collect_all_byte_identical_across_jobs(seed):
     world = build_world(small_config(), seed=seed)
     serial = collect_all(world, standard_feed_suite(seed))
-    for jobs in (2, 4):
-        parallel = collect_all(world, standard_feed_suite(seed), jobs=jobs)
-        assert list(parallel) == list(serial)  # feed order preserved
+    for jobs in (3, 4):
+        pooled = _pool_collect(world, seed, jobs)
+        assert list(pooled) == list(serial)  # feed order preserved
         for name in serial:
-            a, b = serial[name], parallel[name]
+            a, b = serial[name], pooled[name]
             assert b.records == a.records, (seed, jobs, name)
             assert list(b.first_seen().items()) == list(
                 a.first_seen().items()
@@ -185,31 +183,24 @@ def test_collect_all_byte_identical_across_jobs(seed):
             assert b.has_volume == a.has_volume
 
 
-# ----------------------------------------------------------------------
-# The persistent pool: byte-identical to serial and legacy fan-out
-# ----------------------------------------------------------------------
-
-
 @pytest.mark.parametrize("seed", POOL_SEEDS)
-def test_pool_collect_matches_serial_and_legacy_fanout(seed):
+def test_pool_collect_matches_serial(seed):
     world = build_world(small_config(), seed=seed)
     serial = collect_all(world, standard_feed_suite(seed))
-    legacy = collect_all(world, standard_feed_suite(seed), jobs=2)
-    collectors = standard_feed_suite(seed)
-    set_pool_state(world, collectors)
-    try:
-        with WorkerPool(2) as pool:
-            pooled = collect_all(world, collectors, pool=pool)
-    finally:
-        clear_pool_state()
-    assert list(pooled) == list(serial) == list(legacy)
+    pooled = _pool_collect(world, seed, 2)
+    assert list(pooled) == list(serial)
     for name in serial:
-        s, f, p = serial[name], legacy[name], pooled[name]
-        assert p.records == s.records == f.records, (seed, name)
+        s, p = serial[name], pooled[name]
+        assert p.records == s.records, (seed, name)
         assert list(p.first_seen().items()) == list(s.first_seen().items())
         assert list(p.last_seen().items()) == list(s.last_seen().items())
         # The packed wire format is the byte-level contract.
-        assert p.packed() == s.packed() == f.packed()
+        assert p.packed() == s.packed()
+
+
+# ----------------------------------------------------------------------
+# The persistent pool carries both stages, byte-identical to serial
+# ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", POOL_SEEDS)
@@ -239,17 +230,57 @@ def test_render_all_byte_identical_across_jobs(seed):
         assert text == serial, f"seed={seed} jobs={jobs}"
 
 
-def test_render_all_jobs_argument_overrides_pipeline_default():
-    pipeline = PaperPipeline(small_config(), seed=7, jobs=4)
-    serial_reference = PaperPipeline(small_config(), seed=7).render_all()
-    assert pipeline.render_all(jobs=1) == serial_reference
-    assert pipeline.render_all() == serial_reference
+@pytest.mark.parametrize("seed", EQUIVALENCE_SEEDS)
+def test_render_after_state_cache_hit_forks_pool(seed, tmp_path):
+    serial = PaperPipeline(small_config(), seed=seed).render_all()
+    cache = ArtifactCache(str(tmp_path / "cache"))
+    # Fills the state artifact only: render_all never ran here.
+    PaperPipeline(small_config(), seed=seed, cache=cache).run()
+    with PaperPipeline(
+        small_config(), seed=seed, jobs=2, cache=cache
+    ) as pipeline:
+        pipeline.run()
+        assert pipeline.pool_width == 0  # the state hit skipped the fork
+        text = pipeline.render_all()
+        assert pipeline.pool_width == 2  # the render miss forked it
+    assert text == serial
+
+
+#: The pool render task as the pipeline ships it, before any patching.
+_RENDER_TASK = runner._pool_render_task
+
+
+def _render_task_dying_on_figure3(name):  # pragma: no cover - in workers
+    if name == "render_figure3":
+        os._exit(13)
+    return _RENDER_TASK(name)
+
+
+def test_render_survives_worker_killed_mid_render(monkeypatch):
+    serial = PaperPipeline(small_config(), seed=7).render_all()
+    monkeypatch.setattr(
+        runner, "_pool_render_task", _render_task_dying_on_figure3
+    )
+    with PaperPipeline(small_config(), seed=7, jobs=2) as pipeline:
+        pipeline.run()
+        workers = list(pipeline._pool._workers)
+        text = pipeline.render_all()
+        # The crash closed the pool; the serial loop finished the job.
+        assert pipeline.pool_width == 0
+    assert text == serial
+    assert not any(worker.is_alive() for worker in workers)
 
 
 def test_paper_scale_render_parallel_matches_serial(paper_pipeline):
-    """Seed 2012 at paper scale: the fan-out changes nothing."""
+    """Seed 2012 at paper scale: the pool changes nothing."""
     serial = paper_pipeline.render_all()
-    assert paper_pipeline.render_all(jobs=2) == serial
+    paper_pipeline.jobs = 2
+    try:
+        assert paper_pipeline.render_all() == serial
+        assert paper_pipeline.pool_width == 2
+    finally:
+        paper_pipeline.jobs = None
+        paper_pipeline.close()
 
 
 def test_stream_engine_parallel_sources_identical():

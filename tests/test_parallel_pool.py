@@ -10,6 +10,7 @@ worker state, and counter folding.
 from __future__ import annotations
 
 import os
+import time
 
 import pytest
 
@@ -28,6 +29,14 @@ def _square(x: int) -> int:
 def _fail_on_two(x: int) -> int:
     if x == 2:
         raise ValueError("boom on two")
+    return x
+
+
+def _fail_on_two_while_three_runs(x: int) -> int:
+    if x == 2:
+        raise ValueError("boom on two")
+    if x == 3:
+        time.sleep(0.3)  # still in flight when task 2's error arrives
     return x
 
 
@@ -91,6 +100,15 @@ class TestRunBatch:
             # stays usable for the caller to decide what to do.
             assert not pool.closed
             assert pool.run_batch(_square, [5]) == [25]
+
+    def test_failed_batch_leaves_no_stale_results(self):
+        # Regression: a failing task raised while a sibling task was
+        # still running, whose result then sat in its worker's pipe and
+        # was read as a result of the next batch.
+        with WorkerPool(2) as pool:
+            with pytest.raises(ValueError, match="boom on two"):
+                pool.run_batch(_fail_on_two_while_three_runs, [0, 1, 2, 3])
+            assert pool.run_batch(_square, [5, 6]) == [25, 36]
 
 
 class TestCrashSafety:

@@ -49,9 +49,6 @@ def rules_hit(source, path="/fixtures/snippet.py"):
     return {f.rule for f in findings_for(source, path)}
 
 
-FANOUT_IMPORT = "from repro.parallel.fanout import ordered_fanout\n"
-
-
 # ----------------------------------------------------------------------
 # REP009: fork-safety
 # ----------------------------------------------------------------------
@@ -63,16 +60,15 @@ class TestRep009ForkSafety:
         # module global through `global`.
         findings = findings_for(
             """
-            from repro.parallel.fanout import ordered_fanout
             COUNT = 0
 
-            def work():
+            def work(_):
                 global COUNT
                 COUNT = COUNT + 1
                 return COUNT
 
-            def run_all():
-                return ordered_fanout([work], jobs=2)
+            def run_all(pool):
+                return pool.run_batch(work, range(2))
             """
         )
         assert [f.rule for f in findings] == ["REP009"]
@@ -82,41 +78,37 @@ class TestRep009ForkSafety:
     def test_mutating_method_on_module_object(self):
         assert "REP009" in rules_hit(
             """
-            from repro.parallel.fanout import ordered_fanout
             RESULTS = []
 
-            def work():
+            def work(_):
                 RESULTS.append(1)
                 return len(RESULTS)
 
-            def run_all():
-                return ordered_fanout([work], jobs=2)
+            def run_all(pool):
+                return pool.run_batch(work, range(2))
             """
         )
 
     def test_closed_over_mutation_through_lambda(self):
         assert "REP009" in rules_hit(
             """
-            from repro.parallel.fanout import ordered_fanout
-            def run_all():
+            def run_all(pool):
                 shared = []
-                tasks = [lambda: shared.append(1) for _ in range(3)]
-                return ordered_fanout(tasks, jobs=2)
+                return pool.run_batch(lambda _: shared.append(1), range(3))
             """
         )
 
     def test_subscript_store_on_module_dict(self):
         assert "REP009" in rules_hit(
             """
-            from repro.parallel.fanout import ordered_fanout
             CACHE = {}
 
-            def work():
+            def work(_):
                 CACHE["k"] = 1
                 return CACHE
 
-            def run_all():
-                return ordered_fanout([work], jobs=2)
+            def run_all(pool):
+                return pool.run_batch(work, range(2))
             """
         )
 
@@ -124,7 +116,6 @@ class TestRep009ForkSafety:
         # The write is two calls below the task root.
         assert "REP009" in rules_hit(
             """
-            from repro.parallel.fanout import ordered_fanout
             STATE = {}
 
             def inner():
@@ -133,12 +124,12 @@ class TestRep009ForkSafety:
             def middle():
                 inner()
 
-            def work():
+            def work(_):
                 middle()
                 return 1
 
-            def run_all():
-                return ordered_fanout([work], jobs=2)
+            def run_all(pool):
+                return pool.run_batch(work, range(2))
             """
         )
 
@@ -146,17 +137,16 @@ class TestRep009ForkSafety:
         # The same write NOT reachable from any fan-out is fine.
         assert rules_hit(
             """
-            from repro.parallel.fanout import ordered_fanout
             STATE = {}
 
             def writer():
                 STATE["k"] = 1
 
-            def work():
+            def work(_):
                 return 1
 
-            def run_all():
-                return ordered_fanout([work], jobs=2)
+            def run_all(pool):
+                return pool.run_batch(work, range(2))
             """
         ) == set()
 
@@ -164,14 +154,13 @@ class TestRep009ForkSafety:
         # The fixed shape: tasks build and return their own state.
         assert rules_hit(
             """
-            from repro.parallel.fanout import ordered_fanout
-            def work():
+            def work(_):
                 local = []
                 local.append(1)
                 return local
 
-            def run_all():
-                parts = ordered_fanout([work], jobs=2)
+            def run_all(pool):
+                parts = pool.run_batch(work, range(2))
                 merged = []
                 for part in parts:
                     merged.extend(part)
@@ -184,30 +173,28 @@ class TestRep009ForkSafety:
         # not a method on a shared object.
         assert rules_hit(
             """
-            from repro.parallel.fanout import ordered_fanout
             from repro import obs
 
-            def work():
+            def work(_):
                 obs.add("tasks")
                 return 1
 
-            def run_all():
-                return ordered_fanout([work], jobs=2)
+            def run_all(pool):
+                return pool.run_batch(work, range(2))
             """
         ) == set()
 
     def test_pragma_suppresses_with_justification(self):
         assert rules_hit(
             """
-            from repro.parallel.fanout import ordered_fanout
             MEMO = {}
 
-            def work():
+            def work(_):
                 MEMO["pin"] = 1  # reprolint: disable=REP009 -- idempotent memo
                 return 1
 
-            def run_all():
-                return ordered_fanout([work], jobs=2)
+            def run_all(pool):
+                return pool.run_batch(work, range(2))
             """
         ) == set()
 
@@ -358,14 +345,13 @@ class TestRep010StreamDiscipline:
         findings = findings_for(
             """
             from random import Random
-            from repro.parallel.fanout import ordered_fanout
             shared_rng = Random(7)
 
-            def draw():
+            def draw(_):
                 return shared_rng.random()
 
-            def run_all():
-                return ordered_fanout([draw], jobs=2)
+            def run_all(pool):
+                return pool.run_batch(draw, range(2))
             """
         )
         assert [f.rule for f in findings] == ["REP010"]
@@ -376,11 +362,9 @@ class TestRep010StreamDiscipline:
         assert "REP010" in rules_hit(
             """
             from random import Random
-            from repro.parallel.fanout import ordered_fanout
-            def run_all():
+            def run_all(pool):
                 rng = Random(7)
-                tasks = [lambda: rng.random() for _ in range(3)]
-                return ordered_fanout(tasks, jobs=2)
+                return pool.run_batch(lambda _: rng.random(), range(3))
             """
         )
 
@@ -388,17 +372,16 @@ class TestRep010StreamDiscipline:
         findings = findings_for(
             """
             from random import Random
-            from repro.parallel.fanout import ordered_fanout
             shared_rng = Random(7)
 
             def helper(rng):
                 return rng.random()
 
-            def work():
+            def work(_):
                 return helper(shared_rng)
 
-            def run_all():
-                return ordered_fanout([work], jobs=2)
+            def run_all(pool):
+                return pool.run_batch(work, range(2))
             """
         )
         assert {f.rule for f in findings} == {"REP010"}
@@ -411,7 +394,6 @@ class TestRep010StreamDiscipline:
         findings = findings_for(
             """
             from random import Random
-            from repro.parallel.fanout import ordered_fanout
             class Oracle:
                 def __init__(self):
                     self.rng = Random(7)
@@ -421,11 +403,11 @@ class TestRep010StreamDiscipline:
 
             ORACLE = Oracle()
 
-            def work():
+            def work(_):
                 return ORACLE.observe()
 
-            def run_all():
-                return ordered_fanout([work], jobs=2)
+            def run_all(pool):
+                return pool.run_batch(work, range(2))
             """
         )
         assert {f.rule for f in findings} == {"REP010"}
@@ -435,14 +417,12 @@ class TestRep010StreamDiscipline:
         assert rules_hit(
             """
             from repro.stats.rng import derive_rng
-            from repro.parallel.fanout import ordered_fanout
             def work(label):
                 rng = derive_rng(7, label)
                 return rng.random()
 
-            def run_all():
-                tasks = [lambda: work("a"), lambda: work("b")]
-                return ordered_fanout(tasks, jobs=2)
+            def run_all(pool):
+                return pool.run_batch(work, ["a", "b"])
             """
         ) == set()
 
@@ -715,13 +695,14 @@ def write_fixture_tree(tmp_path):
     tmp_path.mkdir(parents=True, exist_ok=True)
     (tmp_path / "clean.py").write_text("value = 1\n")
     (tmp_path / "bad.py").write_text(
-        FANOUT_IMPORT
-        + "STATE = {}\n"
-        "def work():\n"
+        "from repro.parallel.pool import WorkerPool\n"
+        "STATE = {}\n"
+        "def work(_):\n"
         '    STATE["k"] = 1\n'
         "    return 1\n"
         "def run_all():\n"
-        "    return ordered_fanout([work], jobs=2)\n"
+        "    with WorkerPool(2) as pool:\n"
+        "        return pool.run_batch(work, range(2))\n"
     )
 
 

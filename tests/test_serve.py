@@ -229,6 +229,20 @@ class TestCoalescing:
         assert len(payload["ranking"]) >= 5
 
 
+@pytest.mark.parametrize("scale", ["nan", "inf", "-1", "0", "1e308"])
+def test_hostile_scale_is_a_clean_rejection(scale, capsys):
+    # Regression: these escaped scaled_config as ValueError or
+    # OverflowError, so the daemon dropped the connection and the CLI
+    # exited 1 with a traceback.
+    response = _make_app().handle("/v1/feeds", {"scale": [scale]})
+    assert response.status == 400
+    assert "scale" in json.loads(response.body)["error"]
+    with pytest.raises(SystemExit) as exited:
+        main(["--small", "run", f"--scale={scale}"])
+    assert exited.value.code == 2
+    assert "--scale" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # Byte-identity against the batch CLI
 # ----------------------------------------------------------------------
