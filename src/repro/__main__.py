@@ -46,7 +46,7 @@ from repro.ecosystem import (
     small_config,
 )
 from repro.io.artifacts import ArtifactCache, default_cache_dir, fingerprint
-from repro.io.checkpoint import CheckpointError, read_checkpoint_any
+from repro.io.checkpoint import CheckpointError, read_checkpoint
 from repro.obs.hosttime import Stopwatch
 from repro.obs.manifest import (
     ManifestError,
@@ -68,7 +68,6 @@ from repro.store.query import (
     render_sightings,
 )
 from repro.stream import CHECKPOINT_KIND, build_stream_engine
-from repro.stream.engine import CURSOR_CHECKPOINT_KIND
 
 
 def _progress(args, message: str) -> None:
@@ -241,21 +240,7 @@ def _stream_body(args, store: Optional[SightingStore] = None) -> int:
 
     if args.resume:
         try:
-            kind, payload = read_checkpoint_any(
-                args.resume, (CHECKPOINT_KIND, CURSOR_CHECKPOINT_KIND)
-            )
-            if kind == CURSOR_CHECKPOINT_KIND:
-                if store is None:
-                    print(
-                        f"error: {args.resume} is a store-backed cursor "
-                        "checkpoint; pass --store with the file the "
-                        "checkpointing run landed into",
-                        file=sys.stderr,
-                    )
-                    return 2
-                engine.restore_from_store(payload, store)
-            else:
-                engine.restore(payload)
+            engine.restore(read_checkpoint(args.resume, CHECKPOINT_KIND))
         except CheckpointError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -266,9 +251,8 @@ def _stream_body(args, store: Optional[SightingStore] = None) -> int:
         )
 
     if store is not None:
-        # Attach after any resume so the writer's per-feed positions
-        # line up with the merge cursors of the suffix still to come.
-        engine.attach_store(store, args.store, fingerprint(config))
+        # Attach after any resume so the replayed prefix lands first.
+        engine.attach_store(store, fingerprint(config))
 
     timeline = engine.world.timeline
     total_days = int(timeline.duration_days)

@@ -279,11 +279,11 @@ class ProjectGraph:
             for fn in summary.functions:
                 caller = (module, fn.qualname)
                 for site in fn.fanouts:
-                    roots = []
-                    for task in site.tasks:
-                        resolved = self.resolve_task(caller, task)
-                        if resolved is not None:
-                            roots.append(resolved)
+                    root = (
+                        None
+                        if site.task is None
+                        else self.resolve_task(caller, site.task)
+                    )
                     boundaries.append(
                         (
                             caller,
@@ -291,7 +291,7 @@ class ProjectGraph:
                                 path=summary.path,
                                 line=site.line,
                                 caller=caller,
-                                roots=tuple(dict.fromkeys(roots)),
+                                roots=() if root is None else (root,),
                             ),
                         )
                     )

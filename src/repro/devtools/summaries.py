@@ -47,7 +47,7 @@ from repro.devtools.rules import (
 
 #: Version of the summary layout; bump to invalidate cached summaries
 #: when the fields or their semantics change.
-SUMMARY_VERSION = 2
+SUMMARY_VERSION = 3
 
 #: Function names whose call result is an independent, freshly derived
 #: RNG stream (or a factory handing one out).
@@ -167,7 +167,7 @@ class FanoutSite:
 
     line: int
     col: int
-    tasks: Tuple[TaskRef, ...]
+    task: Optional[TaskRef]
     resolved: bool
 
 
@@ -798,7 +798,7 @@ class _ScopeAnalyzer(ast.NodeVisitor):
                 FanoutSite(
                     line=node.lineno,
                     col=node.col_offset,
-                    tasks=(),
+                    task=None,
                     resolved=False,
                 )
             )
@@ -808,7 +808,7 @@ class _ScopeAnalyzer(ast.NodeVisitor):
             FanoutSite(
                 line=node.lineno,
                 col=node.col_offset,
-                tasks=(ref,),
+                task=ref,
                 resolved=ref.kind != "unknown",
             )
         )

@@ -4,7 +4,7 @@ A checkpoint is a single JSON document wrapped in an envelope that
 records the format name and version, so a reader can fail loudly on
 foreign or stale files instead of resuming from garbage:
 
-    {"format": "repro-checkpoint", "version": 1,
+    {"format": "repro-checkpoint", "version": 2,
      "kind": "stream-engine", "payload": {...}}
 
 Writes are atomic (temp file + ``os.replace``) so a run killed mid-save
@@ -17,31 +17,27 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import Any, Dict, Sequence, Tuple
+from typing import Any, Dict, Tuple
 
 #: Envelope format marker.
 CHECKPOINT_FORMAT = "repro-checkpoint"
 
 #: Current envelope version; bump on incompatible payload changes.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 #: Top-level payload fields of every known checkpoint kind.  This is
 #: the schema contract between writers (``checkpoint_payload`` in
 #: ``repro.stream.engine``) and readers: reprolint's REP006 checks
 #: that each producer's payload dict matches its entry here.
 CHECKPOINT_SCHEMAS: Dict[str, Tuple[str, ...]] = {
-    "stream-engine": ("seed", "feed_order", "cursors", "state"),
-    # Cursor-only checkpoint for store-backed streams: the accumulator
-    # state lives in the sighting store, so the checkpoint shrinks to
-    # the merge cursors plus a pointer at the store file and run key.
-    "stream-cursor": ("seed", "feed_order", "cursors", "store"),
+    "stream-engine": ("seed", "feed_order", "cursors"),
 }
 
 #: Fingerprint pinning (CHECKPOINT_VERSION, CHECKPOINT_SCHEMAS).
 #: REP006 recomputes this from the declarations above; editing the
 #: schema without bumping the version (and re-pinning) fails the lint.
 #: Regenerate with ``python -m repro lint --schema-pin``.
-CHECKPOINT_SCHEMA_PIN = "v1:1ad8abb2e2b2"
+CHECKPOINT_SCHEMA_PIN = "v2:48b613aa3ec5"
 
 
 class CheckpointError(ValueError):
@@ -76,19 +72,6 @@ def write_checkpoint(path: str, kind: str, payload: Dict[str, Any]) -> None:
 
 def read_checkpoint(path: str, kind: str) -> Dict[str, Any]:
     """Read and validate a *kind* checkpoint; returns its payload."""
-    _, payload = read_checkpoint_any(path, (kind,))
-    return payload
-
-
-def read_checkpoint_any(
-    path: str, kinds: Sequence[str]
-) -> Tuple[str, Dict[str, Any]]:
-    """Read a checkpoint that may be any of *kinds*.
-
-    Returns ``(kind, payload)`` so callers that accept several
-    checkpoint shapes (e.g. full stream-engine state vs. store-backed
-    cursors) can dispatch on what the file actually holds.
-    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             envelope = json.load(handle)
@@ -108,14 +91,12 @@ def read_checkpoint_any(
             f"{path}: unsupported checkpoint version {version!r} "
             f"(expected {CHECKPOINT_VERSION})"
         )
-    kind = envelope.get("kind")
-    if kind not in kinds:
-        expected = " or ".join(repr(k) for k in kinds)
+    if envelope.get("kind") != kind:
         raise CheckpointError(
-            f"{path}: checkpoint kind {kind!r} does not match expected "
-            f"{expected}"
+            f"{path}: checkpoint kind {envelope.get('kind')!r} does not "
+            f"match expected {kind!r}"
         )
     payload = envelope.get("payload")
     if not isinstance(payload, dict):
         raise CheckpointError(f"{path}: checkpoint payload must be an object")
-    return str(kind), payload
+    return payload

@@ -8,7 +8,7 @@ sightings.  Data moves through three tiers (the FeedSpine pattern):
   never silent.
 * **silver** -- records that passed :func:`~repro.store.silver
   .validate_sighting`, normalized to ``(feed, domain, time)`` rows in
-  landing order.  The stream layer replays these as checkpoint cursors.
+  landing order.
 * **gold** -- per-``(feed, domain)`` natural-key aggregates
   ``(n_sightings, first_seen, last_seen)``, merged commutatively
   (sum / min / max), which is why batch landing, stream landing, and
@@ -90,19 +90,6 @@ class RunWriter:
     def cursor(self, feed: str) -> int:
         """Bronze rows landed so far for *feed* (durable + this session)."""
         return self._cursors.get(feed, 0)
-
-    def set_position(self, feed: str, position: int) -> None:
-        """Declare where in the run's record sequence *feed* resumes.
-
-        A writer normally assumes callers offer each feed's records
-        from the start of the run (position 0) and skips the landed
-        prefix.  A resumed stream starts mid-sequence instead; it
-        declares its cursor here so position bookkeeping stays aligned
-        with the records actually offered.
-        """
-        if position < 0:
-            raise ValueError("position must be non-negative")
-        self._positions[feed] = position
 
     def land_sightings(
         self,
@@ -312,12 +299,6 @@ class SightingStore:
         limit: Optional[int] = None,
     ) -> List[SilverRow]:
         return self.backend.silver_rows(feed=feed, since=since, limit=limit)
-
-    def silver_prefix(
-        self, run_id: int, feed: str, limit: Optional[int] = None
-    ) -> List[Tuple[str, int]]:
-        """One run's first *limit* silver sightings for *feed*."""
-        return self.backend.silver_for_feed(run_id, feed, limit)
 
     def close(self) -> None:
         self.backend.close()

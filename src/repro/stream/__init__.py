@@ -13,8 +13,9 @@ records arrive in simulation-time order:
   sighting times.
 * :class:`StreamEngine` drives consumption, emits windowed
   :class:`StreamSnapshot` views ("Table 1/2/3 as of day N"), and
-  serializes its complete position through :mod:`repro.io.checkpoint`
-  so a run can be stopped and resumed deterministically.
+  saves its position (the per-feed merge cursors) through
+  :mod:`repro.io.checkpoint` so a run can be stopped and resumed
+  deterministically.
 
 A snapshot taken after the stream is fully drained matches the batch
 :class:`~repro.pipeline.runner.PaperPipeline` byte-for-byte: both paths
@@ -23,7 +24,6 @@ feed identical statistics into the same analyses and renderers.
 
 from repro.stream.engine import (
     CHECKPOINT_KIND,
-    CURSOR_CHECKPOINT_KIND,
     StreamEngine,
     StreamSnapshot,
     build_stream_engine,
@@ -45,7 +45,6 @@ from repro.stream.state import (
 
 __all__ = [
     "CHECKPOINT_KIND",
-    "CURSOR_CHECKPOINT_KIND",
     "ColumnRecord",
     "ColumnSource",
     "DEFAULT_BATCH_SIZE",

@@ -10,10 +10,11 @@ stream is fully drained is byte-identical to the batch
 the same statistics into the same :class:`FeedComparison` analyses and
 the same renderers.
 
-Checkpointing serializes the accumulator state plus the merge-layer
-cursor vector through :mod:`repro.io.checkpoint`; resuming rebuilds the
-(deterministic) sources, seeks the cursors, and continues exactly where
-the previous run stopped.
+A checkpoint is the merge-layer cursor vector alone, written through
+:mod:`repro.io.checkpoint`: the record sources are deterministic
+functions of ``(config, seed)``, so resuming rebuilds them, replays
+each feed's consumed prefix into fresh accumulators, seeks the cursors,
+and continues exactly where the previous run stopped.
 """
 
 from __future__ import annotations
@@ -53,8 +54,9 @@ from repro.feeds import (
     standard_feed_suite,
 )
 from repro.io.checkpoint import (
+    CHECKPOINT_SCHEMAS,
     CheckpointError,
-    read_checkpoint_any,
+    read_checkpoint,
     write_checkpoint,
 )
 from repro.reporting.paper_tables import (
@@ -75,13 +77,8 @@ from repro.stream.state import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.io.artifacts import ArtifactCache
 
-#: Checkpoint envelope kind for stream-engine state.
+#: Checkpoint envelope kind for stream-engine positions.
 CHECKPOINT_KIND = "stream-engine"
-
-#: Checkpoint envelope kind for store-backed cursor checkpoints: the
-#: accumulator state is reconstructed from the sighting store, so the
-#: file carries only the merge cursors and a pointer at the store.
-CURSOR_CHECKPOINT_KIND = "stream-cursor"
 
 
 @dataclasses.dataclass
@@ -202,19 +199,16 @@ class StreamEngine:
             },
             batch_size=batch_size,
         )
-        self.state = StreamState(
+        self.state = self._fresh_state()
+        self._writer: Optional[RunWriter] = None
+
+    def _fresh_state(self) -> StreamState:
+        return StreamState(
             [
                 (ds.name, ds.feed_type, ds.has_volume)
                 for ds in self.datasets.values()
             ]
         )
-        self._writer: Optional[RunWriter] = None
-        self._store_path: Optional[str] = None
-        self._run_key: Optional[str] = None
-        #: True while every store landing this session validated clean;
-        #: a rejection would desynchronize silver replay from the merge
-        #: cursors, so checkpoints fall back to full state payloads.
-        self._store_clean = True
 
     # ------------------------------------------------------------------
     # Store landing
@@ -223,7 +217,6 @@ class StreamEngine:
     def attach_store(
         self,
         store: SightingStore,
-        path: str,
         config_fingerprint: str,
         command: str = "stream",
     ) -> None:
@@ -232,18 +225,23 @@ class StreamEngine:
         The run key derives from (config fingerprint, seed), the same
         identity the artifact cache uses, so a batch ``run --store``
         and a ``stream --store`` against the same file land the same
-        run exactly once.  When the engine is already positioned
-        mid-stream (a resumed run), the writer's per-feed positions
-        are aligned with the merge cursors so the suffix about to be
-        consumed lands after the already-durable prefix.
+        run exactly once.  The prefix the engine has already consumed
+        (a resumed run) lands first, so the store never misses the
+        records before the resume point; the writer's positional
+        prefix-skip makes that free when the prefix is already landed.
         """
-        self._run_key = run_key_for(config_fingerprint, self.seed)
         self._writer = store.open_run(
-            self._run_key, self.seed, config_fingerprint, command
+            run_key_for(config_fingerprint, self.seed),
+            self.seed,
+            config_fingerprint,
+            command,
         )
-        self._store_path = path
-        for feed, cursor in self._stream.cursors.items():
-            self._writer.set_position(feed, cursor)
+        for name, cursor in self._stream.cursors.items():
+            prefix = self.datasets[name].chronological_records()[:cursor]
+            self._writer.land_sightings(
+                name, ((record.domain, record.time) for record in prefix)
+            )
+        self._writer.finish()
 
     def _land_batch(self, batch: Sequence[StreamEvent]) -> None:
         if self._writer is None:
@@ -252,9 +250,7 @@ class StreamEngine:
         for time, feed, domain in batch:
             groups.setdefault(feed, []).append((domain, time))
         for feed, rows in groups.items():
-            stats = self._writer.land_sightings(feed, rows)
-            if stats.rejected:
-                self._store_clean = False
+            self._writer.land_sightings(feed, rows)
 
     def finish_store(self) -> None:
         """Commit any store landings performed so far."""
@@ -366,101 +362,37 @@ class StreamEngine:
     # ------------------------------------------------------------------
 
     def checkpoint_payload(self) -> Dict[str, Any]:
-        """The complete resumable position as a JSON-friendly payload."""
-        return {
-            "seed": self.seed,
-            "feed_order": list(self.feed_order),
-            "cursors": self._stream.cursors,
-            "state": self.state.to_payload(),
-        }
+        """The complete resumable position as a JSON-friendly payload.
 
-    def cursor_checkpoint_payload(self) -> Dict[str, Any]:
-        """Cursor-only position for store-backed engines.
-
-        The per-feed accumulator state is *not* serialized: the store's
-        silver tier holds every consumed sighting, so resuming replays
-        each feed's landed prefix (bounded by the cursors) instead.
+        The cursors alone fix the state: the sources are rebuilt from
+        ``(config, seed)`` on resume and their consumed prefixes
+        replayed (see :meth:`restore`).
         """
         return {
             "seed": self.seed,
             "feed_order": list(self.feed_order),
             "cursors": self._stream.cursors,
-            "store": {"path": self._store_path, "run_key": self._run_key},
         }
 
     def save_checkpoint(self, path: str) -> None:
-        """Atomically write the current position to *path*.
+        """Atomically write the current position to *path*."""
+        write_checkpoint(path, CHECKPOINT_KIND, self.checkpoint_payload())
 
-        A store-backed engine writes a compact cursor checkpoint
-        (flushing the store first, so the cursors never point past the
-        durable silver rows); otherwise the full state payload is
-        written as before.
-        """
-        if self._writer is not None and self._store_clean:
-            self._writer.finish()
-            write_checkpoint(
-                path, CURSOR_CHECKPOINT_KIND, self.cursor_checkpoint_payload()
-            )
-        else:
-            write_checkpoint(path, CHECKPOINT_KIND, self.checkpoint_payload())
-
-    def restore(self, payload: Dict[str, Any]) -> None:
-        """Restore a position produced by :meth:`checkpoint_payload`.
+    def restore(self, payload: Mapping[str, Any]) -> None:
+        """Reposition the engine at a :meth:`checkpoint_payload` position.
 
         The engine must have been constructed over the same world and
         datasets (same seed and feed suite) as the checkpointing run;
-        mismatches raise :class:`CheckpointError`.
-        """
-        try:
-            seed = int(payload["seed"])
-            cursors = dict(payload["cursors"])
-            state_payload = payload["state"]
-            feed_order = list(payload["feed_order"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"bad engine checkpoint: {exc}") from exc
-        if seed != self.seed:
-            raise CheckpointError(
-                f"checkpoint seed {seed} does not match engine seed "
-                f"{self.seed}"
-            )
-        if set(cursors) != set(self.datasets):
-            raise CheckpointError(
-                "checkpoint feeds do not match engine feeds: "
-                f"{sorted(cursors)} vs {sorted(self.datasets)}"
-            )
-        state = StreamState.from_payload(state_payload)
-        consumed = sum(int(c) for c in cursors.values())
-        if state.records_processed != consumed:
-            raise CheckpointError(
-                f"checkpoint state covers {state.records_processed} records "
-                f"but cursors account for {consumed}"
-            )
-        self._stream.seek({name: int(c) for name, c in cursors.items()})
-        self.state = state
-        self.feed_order = feed_order
-
-    def restore_from_store(
-        self, payload: Dict[str, Any], store: SightingStore
-    ) -> None:
-        """Restore a cursor checkpoint by replaying store silver rows.
-
-        Each feed's landed prefix (bounded by its cursor) is replayed
-        through a fresh :class:`StreamState`.  An accumulator only ever
-        sees its own feed's chronological subsequence, so per-feed
-        replay rebuilds the exact state the live engine had -- the
-        cross-feed interleaving it skips does not affect any
+        a mismatched or malformed payload raises
+        :class:`CheckpointError`.  Each feed's consumed prefix is
+        replayed through a fresh :class:`StreamState`.  An accumulator
+        only ever sees its own feed's chronological subsequence, so
+        per-feed replay rebuilds the exact state the live engine had:
+        the cross-feed interleaving it skips does not affect any
         accumulator, and the cross-feed counters are order-independent
         set sizes.
         """
-        try:
-            seed = int(payload["seed"])
-            cursors = {
-                str(k): int(v) for k, v in dict(payload["cursors"]).items()
-            }
-            feed_order = list(payload["feed_order"])
-            run_key = str(dict(payload["store"])["run_key"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"bad cursor checkpoint: {exc}") from exc
+        seed, feed_order, cursors = _parse_checkpoint(payload)
         if seed != self.seed:
             raise CheckpointError(
                 f"checkpoint seed {seed} does not match engine seed "
@@ -471,34 +403,26 @@ class StreamEngine:
                 "checkpoint feeds do not match engine feeds: "
                 f"{sorted(cursors)} vs {sorted(self.datasets)}"
             )
-        run = store.run_by_key(run_key)
-        if run is None:
-            raise CheckpointError(
-                f"store has no run {run_key!r}; cannot replay cursors"
-            )
-        state = StreamState(
-            [
-                (ds.name, ds.feed_type, ds.has_volume)
-                for ds in self.datasets.values()
-            ]
-        )
+        sources = {
+            name: ds.chronological_records()
+            for name, ds in self.datasets.items()
+        }
+        for name, cursor in cursors.items():
+            if not 0 <= cursor <= len(sources[name]):
+                raise CheckpointError(
+                    f"checkpoint cursor {cursor} out of range for feed "
+                    f"{name!r} (0..{len(sources[name])})"
+                )
+        state = self._fresh_state()
         replayed = sum(  # reprolint: disable=REP004 -- int cursor counts
             cursors.values()
         )
-        with obs.span("store.replay", records=replayed):
-            for name in self.datasets:
-                expected = cursors[name]
-                if expected == 0:
-                    continue
-                rows = store.silver_prefix(run.run_id, name, limit=expected)
-                if len(rows) != expected:
-                    raise CheckpointError(
-                        f"store holds {len(rows)} sightings for feed "
-                        f"{name!r} but the checkpoint cursor expects "
-                        f"{expected}; the store cannot replay this run"
-                    )
-                for domain, time in rows:
-                    state.update(StreamEvent(time, name, domain))
+        with obs.span("stream.replay", records=replayed):
+            for name, records in sources.items():
+                state.update_batch(
+                    StreamEvent(record.time, name, record.domain)
+                    for record in records[: cursors[name]]
+                )
         self._stream.seek(cursors)
         self.state = state
         self.feed_order = feed_order
@@ -510,34 +434,12 @@ class StreamEngine:
         datasets: Mapping[str, FeedDataset],
         path: str,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        store: Optional[SightingStore] = None,
     ) -> "StreamEngine":
-        """Build an engine over *datasets* positioned at checkpoint *path*.
-
-        Accepts both checkpoint shapes: a full ``stream-engine`` state
-        payload, or a ``stream-cursor`` checkpoint -- the latter needs
-        *store* (the sighting store the checkpointing run landed into)
-        to replay the consumed prefix.
-        """
-        kind, payload = read_checkpoint_any(
-            path, (CHECKPOINT_KIND, CURSOR_CHECKPOINT_KIND)
-        )
-        engine = cls(
-            world,
-            datasets,
-            seed=int(payload.get("seed", 0)),
-            feed_order=list(payload.get("feed_order", PAPER_FEED_ORDER)),
-            batch_size=batch_size,
-        )
-        if kind == CURSOR_CHECKPOINT_KIND:
-            if store is None:
-                raise CheckpointError(
-                    f"{path}: cursor checkpoint needs its sighting store "
-                    "(pass --store with the file the run landed into)"
-                )
-            engine.restore_from_store(payload, store)
-        else:
-            engine.restore(payload)
+        """Build an engine over *datasets* positioned at checkpoint *path*."""
+        payload = read_checkpoint(path, CHECKPOINT_KIND)
+        seed, _, _ = _parse_checkpoint(payload)
+        engine = cls(world, datasets, seed=seed, batch_size=batch_size)
+        engine.restore(payload)
         return engine
 
     def __repr__(self) -> str:
@@ -545,6 +447,47 @@ class StreamEngine:
             f"StreamEngine(records={self.records_processed}, "
             f"exhausted={self.exhausted})"
         )
+
+
+def _parse_checkpoint(
+    payload: Mapping[str, Any],
+) -> Tuple[int, List[str], Dict[str, int]]:
+    """``(seed, feed_order, cursors)`` of a checkpoint payload.
+
+    The payload is outside input (a file on disk), so every field is
+    type-checked here; anything malformed raises
+    :class:`CheckpointError` rather than failing later mid-replay.
+    """
+    fields = CHECKPOINT_SCHEMAS[CHECKPOINT_KIND]
+    if not isinstance(payload, Mapping) or set(payload) != set(fields):
+        raise CheckpointError(
+            "bad engine checkpoint: payload fields must be exactly "
+            + ", ".join(fields)
+        )
+    seed = payload["seed"]
+    feed_order = payload["feed_order"]
+    cursors = payload["cursors"]
+    if not _is_int(seed):
+        raise CheckpointError("bad engine checkpoint: seed is not an integer")
+    if not isinstance(feed_order, list) or not all(
+        isinstance(name, str) for name in feed_order
+    ):
+        raise CheckpointError(
+            "bad engine checkpoint: feed_order is not a list of feed names"
+        )
+    if not isinstance(cursors, dict):
+        raise CheckpointError("bad engine checkpoint: cursors not an object")
+    for name, cursor in cursors.items():
+        if not _is_int(cursor):
+            raise CheckpointError(
+                f"bad engine checkpoint: cursor for feed {name!r} is not "
+                "an integer"
+            )
+    return seed, feed_order, cursors
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def build_stream_engine(

@@ -16,15 +16,15 @@ any moment.  Two layers:
   cheap always-current :meth:`online_coverage` view that needs no
   oracle access at all.
 
-State serializes to a JSON-friendly payload.  Only the per-feed maps
-are stored; the cross-feed counters are re-derived on load, which keeps
-checkpoints smaller and structurally impossible to de-synchronize.
+State is never serialized: a checkpoint holds only the merge cursors,
+and resuming replays each feed's consumed prefix through
+:meth:`StreamState.update`, the one accumulation path.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.feeds.base import FeedStats, FeedType
 from repro.simtime import SimTime
@@ -33,7 +33,7 @@ from repro.stream.merge import StreamEvent
 
 
 class StreamStateError(ValueError):
-    """Raised when a serialized state payload is invalid or mismatched."""
+    """Raised when an event names a feed the state does not track."""
 
 
 class FeedAccumulator:
@@ -102,7 +102,7 @@ class FeedAccumulator:
         """Latest sighting time per domain (live view)."""
         return self._last
 
-    # -- Snapshot / serialization --------------------------------------
+    # -- Snapshot ------------------------------------------------------
 
     def freeze(self) -> "FrozenFeedStats":
         """An immutable copy safe to analyze while streaming continues."""
@@ -115,47 +115,6 @@ class FeedAccumulator:
             first=dict(self._first),
             last=dict(self._last),
         )
-
-    def to_payload(self) -> Dict[str, Any]:
-        """JSON-friendly serialization of the accumulated state."""
-        return {
-            "name": self.name,
-            "type": self.feed_type.value,
-            "has_volume": self.has_volume,
-            "samples": self._samples,
-            # One row per domain keeps the payload compact and ordered.
-            "domains": [
-                [d, self._counts[d], self._first[d], self._last[d]]
-                for d in sorted(self._counts)
-            ],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "FeedAccumulator":
-        """Rebuild an accumulator serialized by :meth:`to_payload`."""
-        try:
-            acc = cls(
-                name=str(payload["name"]),
-                feed_type=FeedType(payload["type"]),
-                has_volume=bool(payload["has_volume"]),
-            )
-            for domain, count, first, last in payload["domains"]:
-                domain = str(domain)
-                acc._counts[domain] = int(count)
-                acc._first[domain] = int(first)
-                acc._last[domain] = int(last)
-                acc._unique.add(domain)
-            acc._samples = int(payload["samples"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise StreamStateError(f"bad feed payload: {exc}") from exc
-        per_domain = sum(  # reprolint: disable=REP004 -- int counts
-            acc._counts.values()
-        )
-        if acc._samples < per_domain:
-            raise StreamStateError(
-                f"feed {acc.name!r}: sample count below per-domain total"
-            )
-        return acc
 
     def __repr__(self) -> str:
         return (
@@ -317,69 +276,6 @@ class StreamState:
         return {
             name: acc.freeze() for name, acc in self.accumulators.items()
         }
-
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-
-    def to_payload(self) -> Dict[str, Any]:
-        """JSON-friendly serialization of the complete state."""
-        return {
-            "records_processed": self.records_processed,
-            "clock": self.clock,
-            "feeds": [
-                acc.to_payload() for acc in self.accumulators.values()
-            ],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "StreamState":
-        """Rebuild state serialized by :meth:`to_payload`.
-
-        Cross-feed counters are re-derived from the per-feed domain
-        maps rather than stored, so they can never drift out of sync
-        with the data they summarize.
-        """
-        try:
-            feed_payloads = list(payload["feeds"])
-            records_processed = int(payload["records_processed"])
-            clock = payload["clock"]
-        except (KeyError, TypeError) as exc:
-            raise StreamStateError(f"bad state payload: {exc}") from exc
-        accumulators = [
-            FeedAccumulator.from_payload(fp) for fp in feed_payloads
-        ]
-        state = cls(
-            [(a.name, a.feed_type, a.has_volume) for a in accumulators]
-        )
-        state.accumulators = {a.name: a for a in accumulators}
-        state.records_processed = records_processed
-        state.clock = None if clock is None else int(clock)
-        state._rederive_cross_feed()
-        return state
-
-    def _rederive_cross_feed(self) -> None:
-        self._occurrences = {}
-        self._sole_owner = {}
-        self._pair_counts = {}
-        names = list(self.accumulators)
-        for name in names:
-            for domain in self.accumulators[name].unique_domains():
-                count = self._occurrences.get(domain, 0)
-                self._occurrences[domain] = count + 1
-                if count == 0:
-                    self._sole_owner[domain] = name
-                elif count == 1:
-                    self._sole_owner.pop(domain, None)
-        self._exclusive = {name: 0 for name in self.accumulators}
-        for owner in self._sole_owner.values():
-            self._exclusive[owner] += 1
-        for i, a in enumerate(names):
-            set_a = self.accumulators[a].unique_domains()
-            for b in names[i + 1:]:
-                shared = len(set_a & self.accumulators[b].unique_domains())
-                if shared:
-                    self._pair_counts[_pair_key(a, b)] = shared
 
     def __repr__(self) -> str:
         return (

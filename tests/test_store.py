@@ -107,22 +107,6 @@ class TestRunWriter:
         assert (stats.skipped, stats.bronze) == (1, 1)
         assert [row.domain for row in store.sightings()] == ["a.com", "b.com"]
 
-    def test_set_position_offsets_the_offered_sequence(self):
-        store = SightingStore.in_memory()
-        self._writer(store).land_sightings("mx1", [("a.com", 10)])
-        # a resumed caller offers only the suffix and declares where
-        # that suffix starts; nothing is skipped, nothing duplicated
-        writer = self._writer(store)
-        writer.set_position("mx1", 1)
-        stats = writer.land_sightings("mx1", [("b.com", 20)])
-        assert (stats.skipped, stats.bronze) == (0, 1)
-        assert len(store.sightings()) == 2
-
-    def test_set_position_rejects_negative(self):
-        store = SightingStore.in_memory()
-        with pytest.raises(ValueError):
-            self._writer(store).set_position("mx1", -1)
-
     def test_distinct_run_keys_land_independently(self):
         store = SightingStore.in_memory()
         store.open_run("k1", 7, "cfg", "run").land_sightings(

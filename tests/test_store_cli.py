@@ -101,7 +101,9 @@ class TestCursorCheckpoint:
         assert code == 0
         assert resumed == straight
 
-    def test_cursor_checkpoint_requires_store(self, tmp_path, capsys):
+    def test_store_backed_checkpoint_resumes_without_store(
+        self, tmp_path, capsys
+    ):
         store_path = str(tmp_path / "ck.sqlite")
         ck = str(tmp_path / "ck.json")
         assert _run(
@@ -109,11 +111,41 @@ class TestCursorCheckpoint:
             ["--small", "--seed", "7", "-q", "stream", "--store", store_path,
              "--until-day", "20", "--checkpoint", ck],
         )[0] == 0
-        code, _, err = _run(
+        code, resumed, err = _run(
             capsys, ["--small", "--seed", "7", "-q", "stream", "--resume", ck]
         )
-        assert code == 2
-        assert "cursor" in err and "--store" in err
+        assert code == 0, err
+        code, straight, _ = _run(
+            capsys, ["--small", "--seed", "7", "-q", "stream"]
+        )
+        assert code == 0
+        assert resumed == straight
+
+    @pytest.mark.parametrize("seed", ["7", "11"])
+    def test_resume_into_store_lands_the_prefix(self, seed, tmp_path, capsys):
+        """A first leg without a store, resumed with one, leaves the
+        store a straight-through ``stream --store`` would."""
+        base = ["--small", "--seed", seed, "-q", "stream"]
+        ck = str(tmp_path / "ck.json")
+        assert _run(
+            capsys, base + ["--until-day", "20", "--checkpoint", ck]
+        )[0] == 0
+        resumed_store = str(tmp_path / "resumed.sqlite")
+        code, resumed, _ = _run(
+            capsys, base + ["--resume", ck, "--store", resumed_store]
+        )
+        assert code == 0
+        straight_store = str(tmp_path / "straight.sqlite")
+        code, straight, _ = _run(capsys, base + ["--store", straight_store])
+        assert code == 0
+        assert resumed == straight
+
+        def feed_stats(path):
+            code, out, _ = _run(capsys, ["query", "--store", path, "feed-stats"])
+            assert code == 0
+            return out
+
+        assert feed_stats(resumed_store) == feed_stats(straight_store)
 
 
 class TestQueryCli:

@@ -1,5 +1,7 @@
 """CLI tests for the ``stream`` subcommand and the ``--quiet`` flag."""
 
+import json
+
 import pytest
 
 from repro.__main__ import main
@@ -95,6 +97,64 @@ class TestStreamCli:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.fixture(scope="class")
+    def drained_checkpoint(self, tmp_path_factory):
+        """A checkpoint of the fully drained seed-7 stream."""
+        path = str(tmp_path_factory.mktemp("drained") / "ck.json")
+        assert main(
+            ["--small", "--seed", "7", "-q", "stream", "--checkpoint", path]
+        ) == 0
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+
+    @staticmethod
+    def _move_records(cursors, delta):
+        # Move *delta* records from the second feed's cursor to the
+        # first's.  The total still matches, but every cursor of a
+        # drained stream sits at its feed's end, so the first one now
+        # points outside its source.
+        first, second = sorted(cursors)[:2]
+        cursors[first] += delta
+        cursors[second] -= delta
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda ck: ck["payload"].__setitem__("state", {}),
+            lambda ck: ck["payload"]["cursors"].__setitem__(
+                sorted(ck["payload"]["cursors"])[0], "abc"
+            ),
+            lambda ck: TestStreamCli._move_records(
+                ck["payload"]["cursors"], 1
+            ),
+            lambda ck: TestStreamCli._move_records(
+                ck["payload"]["cursors"], -(10**9)
+            ),
+            lambda ck: ck.__setitem__("version", 1),
+        ],
+        ids=[
+            "extra-state-field",
+            "string-cursor",
+            "cursor-past-end",
+            "cursor-negative-and-1e9",
+            "version-1",
+        ],
+    )
+    def test_malformed_checkpoint_exits_2(
+        self, drained_checkpoint, corrupt, tmp_path, capsys
+    ):
+        checkpoint = json.loads(json.dumps(drained_checkpoint))
+        corrupt(checkpoint)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(checkpoint))
+        code = main(
+            ["--small", "--seed", "7", "-q", "stream", "--resume", str(path)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
 
     def test_until_day_prints_asof_header(self, capsys):
         code = main(

@@ -48,6 +48,23 @@ def _assert_snapshot_matches_batch(pipeline, snapshot):
     assert snapshot.render_table3() == pipeline.render_table3()
 
 
+def _assert_same_state(resumed, live):
+    """A resumed engine's state equals the checkpointing engine's."""
+    assert resumed.records_processed == live.records_processed
+    assert resumed.clock == live.clock
+    assert resumed.union_size == live.union_size
+    feeds = live.feed_names
+    assert resumed.feed_names == feeds
+    # Per-feed counts, first and last seen (and sample totals).
+    assert resumed.freeze() == live.freeze()
+    for feed in feeds:
+        assert resumed.exclusive_count(feed) == live.exclusive_count(feed)
+        for other in feeds:
+            assert resumed.pairwise_intersection(
+                feed, other
+            ) == live.pairwise_intersection(feed, other)
+
+
 @pytest.fixture(scope="module", params=[7, 11], ids=["seed7", "seed11"])
 def small_pipeline(request):
     pipeline = PaperPipeline(small_config(), seed=request.param)
@@ -103,14 +120,17 @@ class TestSmallWorldEquivalence:
         first.save_checkpoint(path)
         midpoint = first.records_processed
         assert 0 < midpoint < expected.records_processed
+        live = first.state
         del first
 
-        # A fresh engine resumed from the file finishes identically.
+        # A fresh engine resumed from the file has the live state...
         result = small_pipeline.run()
         resumed = StreamEngine.resume(
             result.world, result.datasets, path,
         )
         assert resumed.records_processed == midpoint
+        _assert_same_state(resumed.state, live)
+        # ...and finishes identically.
         resumed.run()
         final = resumed.snapshot()
         assert final.records_processed == expected.records_processed
@@ -215,6 +235,7 @@ class TestPaperScaleEquivalence:
 
         result = paper_pipeline.run()
         resumed = StreamEngine.resume(result.world, result.datasets, path)
+        _assert_same_state(resumed.state, engine.state)
         resumed.run()
 
         engine.run()

@@ -1,6 +1,8 @@
 """Unit tests for the stream merge layer, accumulators and checkpoints."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.feeds.base import FeedDataset, FeedRecord, FeedType
 from repro.io.checkpoint import (
@@ -11,6 +13,7 @@ from repro.io.checkpoint import (
 from repro.stream import (
     FeedAccumulator,
     RecordStream,
+    StreamEngine,
     StreamState,
     StreamStateError,
 )
@@ -150,32 +153,6 @@ class TestStreamState:
         with pytest.raises(StreamStateError):
             state.update(StreamEvent(1, "nope", "x.com"))
 
-    def test_payload_roundtrip_preserves_everything(self):
-        state = self._state()
-        events = [
-            StreamEvent(1, "a", "x.com"),
-            StreamEvent(2, "b", "x.com"),
-            StreamEvent(3, "a", "y.com"),
-            StreamEvent(3, "a", "x.com"),
-        ]
-        state.update_batch(events)
-        clone = StreamState.from_payload(state.to_payload())
-        assert clone.records_processed == state.records_processed
-        assert clone.clock == state.clock
-        assert clone.union_size == state.union_size
-        for feed in ("a", "b"):
-            assert clone.exclusive_count(feed) == state.exclusive_count(feed)
-            a, c = state.accumulators[feed], clone.accumulators[feed]
-            assert a.total_samples == c.total_samples
-            assert a.unique_domains() == c.unique_domains()
-            assert a.first_seen() == c.first_seen()
-            assert a.last_seen() == c.last_seen()
-        assert clone.pairwise_intersection("a", "b") == 1
-
-    def test_bad_payload_rejected(self):
-        with pytest.raises(StreamStateError):
-            StreamState.from_payload({"feeds": [{"name": "a"}]})
-
 
 class TestCheckpointIo:
     def test_roundtrip(self, tmp_path):
@@ -208,3 +185,72 @@ class TestCheckpointIo:
         path = str(tmp_path / "ck.json")
         write_checkpoint(path, "stream-engine", {"n": 1})
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.json"]
+
+
+_FEEDS = ("a", "b")
+
+_json = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_names = st.sampled_from(_FEEDS + ("zz",))
+
+_payloads = st.fixed_dictionaries(
+    {},
+    optional={
+        "seed": st.just(7) | _json,
+        "feed_order": st.lists(_names, max_size=3) | _json,
+        "cursors": st.dictionaries(
+            _names, st.integers(min_value=-2, max_value=5) | _json
+        )
+        | _json,
+        "state": _json,
+    },
+)
+
+
+class TestEngineRestore:
+    """Checkpoint payloads are outside input: restore either succeeds
+    or raises :class:`CheckpointError`, whatever JSON it is handed."""
+
+    def _engine(self, world):
+        datasets = {
+            "a": FeedDataset("a", FeedType.MX_HONEYPOT, _records(1, 4, 9)),
+            "b": FeedDataset(
+                "b", FeedType.BLACKLIST, _records(2, 3), has_volume=False
+            ),
+        }
+        return StreamEngine(world, datasets, seed=7, feed_order=_FEEDS)
+
+    @settings(max_examples=300, deadline=None)
+    @given(payload=_payloads)
+    @example(payload={"seed": 7, "feed_order": ["b"], "cursors": {"a": 2, "b": 1}})
+    @example(payload={"seed": 7, "feed_order": [], "cursors": {"a": True, "b": 0}})
+    @example(
+        payload={
+            "seed": 7,
+            "feed_order": ["a", "b"],
+            "cursors": {"a": 1, "b": 0},
+            "state": {},
+        }
+    )
+    def test_arbitrary_payload_restores_or_raises_checkpoint_error(
+        self, small_world, payload
+    ):
+        engine = self._engine(small_world)
+        try:
+            engine.restore(payload)
+        except CheckpointError:
+            return
+        cursors = payload["cursors"]
+        assert all(type(cursor) is int for cursor in cursors.values())
+        assert engine.records_processed == sum(cursors.values())
+        assert engine.feed_order == payload["feed_order"]
+        engine.run()
+        assert engine.records_processed == 5
