@@ -1,44 +1,15 @@
 """Streaming engine throughput over the paper-scale record volume.
 
-Two benches: the merge layer alone (heap interleave, no analysis) and
-the full engine (merge + online accumulators).  Both report records/sec
-via ``extra_info`` so throughput regressions are visible in the
-benchmark log, and the engine bench re-asserts batch equivalence on its
-final snapshot so a fast-but-wrong optimization cannot slip through.
+One bench: the full engine (per-feed cursors + online accumulators),
+drained from the start.  It reports records/sec via ``extra_info`` so
+throughput regressions are visible in the benchmark log, and re-asserts
+batch equivalence on its final snapshot so a fast-but-wrong
+optimization cannot slip through.
 """
 
 from __future__ import annotations
 
-from repro.stream import RecordStream, StreamEngine
-
-
-def _sources(pipeline):
-    result = pipeline.run()
-    return {
-        name: ds.chronological_records()
-        for name, ds in result.datasets.items()
-    }
-
-
-def test_merge_throughput(benchmark, pipeline, show):
-    sources = _sources(pipeline)
-    total = sum(len(records) for records in sources.values())
-
-    def drain_merge():
-        stream = RecordStream(sources)
-        count = 0
-        while True:
-            batch = stream.next_batch()
-            if not batch:
-                return count
-            count += len(batch)
-
-    count = benchmark(drain_merge)
-    assert count == total
-    rate = total / benchmark.stats.stats.mean
-    benchmark.extra_info["records"] = total
-    benchmark.extra_info["records_per_sec"] = round(rate)
-    show(f"[stream] merge layer: {total:,} records, {rate:,.0f} records/s")
+from repro.stream import StreamEngine
 
 
 def test_engine_throughput(benchmark, pipeline, show):

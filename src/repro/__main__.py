@@ -221,7 +221,6 @@ def _stream_body(args, store: Optional[SightingStore] = None) -> int:
     engine = build_stream_engine(
         config,
         seed=args.seed,
-        batch_size=args.batch_size,
         jobs=args.jobs,
         cache=_artifact_cache(args),
         shards=getattr(args, "shards", None),
@@ -268,9 +267,8 @@ def _stream_body(args, store: Optional[SightingStore] = None) -> int:
         done = engine.records_processed - resumed_records
         return done / elapsed if elapsed > 0 else 0.0
 
-    current_day = (
-        -1 if engine.position is None else timeline.day_of(engine.position)
-    )
+    clock = engine.state.clock
+    current_day = -1 if clock is None else timeline.day_of(clock)
     if args.snapshot_every:
         day = args.snapshot_every
         while day <= current_day:
@@ -630,15 +628,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     stream_parser.add_argument(
         "--snapshot-every", type=int, default=0, metavar="DAYS",
-        help="emit a progress snapshot every N simulated days",
+        help="emit a progress snapshot every N simulated days "
+             "(0, the default, emits none)",
     )
     stream_parser.add_argument(
         "--tables", action="store_true",
         help="print full Table 1/2/3 at every snapshot, not just at the end",
-    )
-    stream_parser.add_argument(
-        "--batch-size", type=int, default=4096,
-        help="maximum records per merge batch",
     )
     stream_parser.add_argument(
         "--until-day", type=int, default=None, metavar="DAY",
@@ -840,6 +835,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _resolved_config(args)
         except ValueError as exc:
             parser.error(f"argument --scale: {exc}")
+    for flag in ("snapshot_every", "until_day"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            parser.error(
+                f"argument --{flag.replace('_', '-')}: must be a "
+                f"non-negative day count, got {value}"
+            )
 
     def on_sigterm(signum: int, frame: object) -> None:
         # Raising (not exiting) unwinds through every finally block:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.analysis.context import FeedComparison
 from repro.analysis.coverage import pairwise_overlap

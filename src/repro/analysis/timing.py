@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.analysis.context import FeedComparison
 from repro.simtime import SimTime

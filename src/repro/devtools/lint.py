@@ -40,7 +40,6 @@ from repro.devtools.config import (
     LintConfig,
     Severity,
     SuppressionIndex,
-    scan_pragmas,
 )
 from repro.devtools.rules import (
     KIND_CONST_NAME,

@@ -12,7 +12,7 @@ do lead to a storefront) and carry enormous mail volume (Figure 3).
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Sequence, Set
+from typing import List, Set
 
 from repro.domains import BenignNameGenerator
 from repro.stats.distributions import zipf_weights

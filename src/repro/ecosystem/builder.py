@@ -48,7 +48,6 @@ from repro.domains.names import salt_token
 from repro.ecosystem.benign import BenignWorld, build_benign_world
 from repro.ecosystem.config import CampaignClassConfig, EcosystemConfig
 from repro.ecosystem.entities import (
-    AddressStrategy,
     Affiliate,
     AffiliateProgram,
     Botnet,

@@ -52,7 +52,6 @@ from typing import (
     List,
     NamedTuple,
     Optional,
-    Sequence,
     Set,
     Tuple,
 )
@@ -60,8 +59,6 @@ from typing import (
 from repro import obs
 from repro.ecosystem.builder import (
     BuildContext,
-    CLASS_BUILD_ORDER,
-    MEMBER_STRIDE,
     UnitResult,
     WorldBuilder,
     build_campaign_unit,
@@ -771,7 +768,8 @@ class WorldScaleSummary:
     registered_domains: int
     pool_domains: int
     total_volume: float
-    #: Events counted off the k-way merged per-shard placement streams.
+    #: Placement events summarized (equal to ``placements``; the name
+    #: is kept so BENCH_world.json's fields stay unchanged).
     merged_events: int
     first_event: Optional[int]
     last_event: Optional[int]
@@ -789,36 +787,23 @@ def summarize_world_sharded(
     """Build at scale and summarize without assembling a world.
 
     Units are folded one at a time: counters, the XOR content
-    fingerprint, and per-shard ``(start, domain)`` placement columns.
-    The columns are then k-way merged through
-    :class:`~repro.stream.merge.RecordStream` -- the same machinery the
-    feed pipeline streams through -- so the only whole-run state is
-    flat time arrays and name lists, never campaign object graphs.
+    fingerprint, and the running minimum and maximum placement start,
+    so the only whole-run state is those scalars and the set of placed
+    benign domains, never campaign object graphs.
 
     Every reported quantity is invariant to shard count: counts and the
     fingerprint fold per unit, domain distinctness uses unit-local
     counting (exact thanks to salted names, with benign redirector
-    placements tracked globally), and the merge contributes only its
-    event count and time extremes (the interleaving of same-time events
-    across shard sources is the one thing that *does* depend on the
-    cut, so nothing order-sensitive is folded from it).
+    placements tracked globally), and the event count and time extremes
+    are order-free folds.
     """
     from repro.ecosystem.config import paper_config
-    # Imported here, not at module scope: repro.stream reaches feeds,
-    # which import the ecosystem package this module is part of.
-    from repro.stream.merge import ColumnSource, RecordStream
 
     builder = WorldBuilder(config or paper_config(), seed, timeline)
     with obs.span("world.context"):
         ctx = builder.context()
     with obs.span("world.plan"):
         plan = build_plan(ctx)
-    ranges = shard_ranges(plan, max(1, shards))
-    unit_shard = array("q", [0] * len(plan.units))
-    for shard_index, (lo, hi) in enumerate(ranges):
-        for u in range(lo, hi):
-            unit_shard[u] = shard_index
-
     fp = ContentFingerprint()
     campaigns = 0
     placements = 0
@@ -827,23 +812,23 @@ def summarize_world_sharded(
     distinct = 0
     total_volume = 0.0
     benign_placed: Set[str] = set()
-    shard_times: List[array] = [array("q") for _ in ranges]
-    shard_names: List[List[str]] = [[] for _ in ranges]
+    first_event: Optional[int] = None
+    last_event: Optional[int] = None
 
-    unit_index = 0
     with obs.span("world.summary.fold", units=len(plan.units), shards=shards):
         for unit in _iter_units(ctx, plan, shards, jobs):
-            shard_index = unit_shard[unit_index]
-            times = shard_times[shard_index]
-            names = shard_names[shard_index]
             local: Set[str] = set()
+            starts = [p.start for c in unit.campaigns for p in c.placements]
+            starts.extend(p.start for p in unit.placements)
+            if starts:
+                low, high = min(starts), max(starts)
+                first_event = low if first_event is None else min(first_event, low)
+                last_event = high if last_event is None else max(last_event, high)
             for c in unit.campaigns:
                 campaigns += 1
                 for p in c.placements:
                     placements += 1
                     total_volume += p.volume
-                    times.append(p.start)
-                    names.append(p.domain)
                     if p.domain in ctx.benign_union:
                         benign_placed.add(p.domain)
                     else:
@@ -851,44 +836,14 @@ def summarize_world_sharded(
             for p in unit.placements:
                 placements += 1
                 total_volume += p.volume
-                times.append(p.start)
-                names.append(p.domain)
                 local.add(p.domain)
             distinct += len(local)
             registered += len(unit.registrations)
             pool_domains += len(unit.pool)
             fp.add_unit(plan, unit)
-            unit_index += 1
     fp.finish_units(plan)
     if fp.dga_placement_count:
         campaigns += 1
-
-    sources: Dict[str, ColumnSource] = {}
-    for shard_index, (times, names) in enumerate(
-        zip(shard_times, shard_names)
-    ):
-        if not names:
-            continue
-        order = sorted(range(len(names)), key=lambda i: (times[i], names[i]))
-        sources[f"shard{shard_index}"] = ColumnSource(
-            array("q", (times[i] for i in order)),
-            [names[i] for i in order],
-        )
-
-    merged_events = 0
-    first_event: Optional[int] = None
-    last_event: Optional[int] = None
-    if sources:
-        with obs.span("world.summary.merge", sources=len(sources)):
-            stream = RecordStream(sources, presorted=True)
-            while True:
-                batch = stream.next_batch()
-                if not batch:
-                    break
-                if first_event is None:
-                    first_event = batch[0].time
-                last_event = batch[-1].time
-                merged_events += len(batch)
 
     return WorldScaleSummary(
         campaigns=campaigns,
@@ -897,7 +852,7 @@ def summarize_world_sharded(
         registered_domains=registered,
         pool_domains=pool_domains,
         total_volume=total_volume,
-        merged_events=merged_events,
+        merged_events=placements,
         first_event=first_event,
         last_event=last_event,
         fingerprint=fp.hexdigest(),

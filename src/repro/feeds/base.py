@@ -13,7 +13,6 @@ from typing import (
     Optional,
     Protocol,
     Set,
-    Tuple,
     runtime_checkable,
 )
 
@@ -224,8 +223,9 @@ class FeedDataset:
         Collector output is already time-sorted (``_finalize`` sorts),
         in which case the record list itself is returned; otherwise a
         stable-sorted copy is cached, preserving the original relative
-        order of same-minute sightings.  The streaming merge layer
-        requires this ordering for deterministic interleaving.
+        order of same-minute sightings.  The stream engine requires
+        this ordering: it finds a feed's cursor at a day boundary by
+        bisection and folds each feed's records in this order.
         """
         if self._chronological is None:
             records = self.records

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 from repro import obs
 from repro.ecosystem.entities import AddressStrategy, Campaign, DomainPlacement

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Iterable, List
+from typing import Dict, List
 
 from repro.feeds.base import FeedDataset, FeedRecord, FeedType
 

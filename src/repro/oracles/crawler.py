@@ -20,7 +20,6 @@ the false-positive hazard Section 4.1.4 discusses.
 from __future__ import annotations
 
 import dataclasses
-import random
 from typing import Dict, Iterable, Optional
 
 from repro.ecosystem.world import World

@@ -358,7 +358,7 @@ class PaperPipeline:
         """The (lazily built) analysis context."""
         return self.run().comparison
 
-    def stream_engine(self, batch_size: Optional[int] = None):
+    def stream_engine(self):
         """A fresh :class:`~repro.stream.StreamEngine` over this run's data.
 
         The engine replays the already-collected records incrementally;
@@ -366,7 +366,6 @@ class PaperPipeline:
         Table 1/2/3 byte-for-byte.
         """
         from repro.stream.engine import StreamEngine
-        from repro.stream.merge import DEFAULT_BATCH_SIZE
 
         result = self.run()
         return StreamEngine(
@@ -374,7 +373,6 @@ class PaperPipeline:
             result.datasets,
             seed=self.seed,
             feed_order=self.feed_order,
-            batch_size=batch_size or DEFAULT_BATCH_SIZE,
         )
 
     def _present_feeds(self, wanted: Sequence[str]) -> List[str]:

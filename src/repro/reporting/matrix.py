@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, List, Mapping, Optional, Sequence
 
 from repro.analysis.coverage import OverlapMatrix
 

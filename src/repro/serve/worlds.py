@@ -14,10 +14,11 @@ persistent :class:`~repro.parallel.pool.WorkerPool` the pipeline forked
 right after the world build stays alive across requests, so parallel
 renders keep reusing the same copy-on-write workers until the entry is
 evicted or the daemon shuts down.  As-of-day questions reuse one
-forward-advancing :class:`~repro.stream.StreamEngine` per entry: asking
-for day 20 after day 10 consumes only the ten-day suffix; asking for an
-earlier day rewinds by replaying from the start (records are already in
-RAM -- no rebuild).
+:class:`~repro.stream.StreamEngine` per entry, built on the first such
+question: asking for day 20 after day 10 folds only the ten-day suffix;
+asking for an earlier day rewinds that same engine, which replays each
+feed's prefix from the start (records are already in RAM -- no
+rebuild).
 
 Everything served from an entry is a pure function of its key (plus
 the as-of day), which is what makes the concurrency safe to reason
@@ -84,9 +85,8 @@ class WorldEntry:
         self._payloads: Dict[str, Any] = {}
         #: Rendered as-of-day tables per day index.
         self._snapshots: Dict[int, str] = {}
-        #: The forward-advancing snapshot cursor and its guard.
+        #: The as-of-day engine (built on first use) and its guard.
         self._engine: Optional[StreamEngine] = None
-        self._engine_day = -1
         self._engine_lock = threading.Lock()
 
     # -- rendering -----------------------------------------------------
@@ -128,9 +128,9 @@ class WorldEntry:
     def snapshot_text(self, day: int) -> str:
         """Tables as of the start of (zero-based) *day*, memoized.
 
-        The engine advances monotonically; a request for an earlier day
-        replays the in-RAM record stream from the start rather than
-        rebuilding the world.  Serialized per entry: two coalesced
+        One engine per entry moves to *day* in either direction; an
+        earlier day replays the in-RAM records from the start rather
+        than rebuilding anything.  Serialized per entry: two coalesced
         days never interleave on one engine.
         """
         cached = self._snapshots.get(day)
@@ -140,11 +140,9 @@ class WorldEntry:
             cached = self._snapshots.get(day)
             if cached is not None:
                 return cached
-            if self._engine is None or day < self._engine_day:
+            if self._engine is None:
                 self._engine = self.pipeline.stream_engine()
-                self._engine_day = -1
             self._engine.advance_to_day(day)
-            self._engine_day = day
             snapshot = self._engine.snapshot()
             text = f"{snapshot.header()}\n\n{snapshot.render_tables()}"
             self._snapshots[day] = text

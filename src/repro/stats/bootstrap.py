@@ -11,7 +11,6 @@ percentile intervals.
 from __future__ import annotations
 
 import dataclasses
-import random
 from typing import TYPE_CHECKING, Hashable, Iterable, List, Sequence, Set
 
 from repro.stats.rng import derive_rng

@@ -399,7 +399,6 @@ CREATE TABLE IF NOT EXISTS gold(
     PRIMARY KEY(feed, domain)
 );
 CREATE INDEX IF NOT EXISTS idx_bronze_run_feed ON bronze(run_id, feed);
-CREATE INDEX IF NOT EXISTS idx_silver_run_feed ON silver(run_id, feed, seq);
 CREATE INDEX IF NOT EXISTS idx_silver_feed ON silver(feed, seq);
 CREATE INDEX IF NOT EXISTS idx_gold_domain ON gold(domain);
 """
@@ -440,6 +439,7 @@ class SqliteBackend:
         try:
             if existed:
                 self._validate_meta()
+                self._drop_retired_index()
             else:
                 self._conn.executescript(_SCHEMA)
                 self._conn.execute(
@@ -454,6 +454,18 @@ class SqliteBackend:
         except BaseException:
             self._conn.close()
             raise
+
+    def _drop_retired_index(self) -> None:
+        """Drop ``idx_silver_run_feed`` from files that still carry it.
+
+        No query reads it, yet every silver insert maintained it.  A
+        read-only file keeps the index: it costs only insert time.
+        """
+        try:
+            self._conn.execute("DROP INDEX IF EXISTS idx_silver_run_feed")
+            self._conn.commit()
+        except sqlite3.OperationalError:
+            pass
 
     def _validate_meta(self) -> None:
         try:

@@ -1,20 +1,20 @@
-"""The streaming analysis engine: consume, snapshot, checkpoint, resume.
+"""The streaming analysis engine: advance, snapshot, checkpoint, resume.
 
-:class:`StreamEngine` pulls bounded batches off a
-:class:`~repro.stream.merge.RecordStream`, folds them into a
-:class:`~repro.stream.state.StreamState`, and can at any moment produce
+:class:`StreamEngine` keeps one cursor per feed into that feed's
+time-sorted records and folds the records it moves over into a
+:class:`~repro.stream.state.StreamState`.  At any moment it can produce
 a :class:`StreamSnapshot` -- the paper's Table 1/2/3 (and Figure 1-3
-data) *as of* the records consumed so far.  A snapshot taken after the
-stream is fully drained is byte-identical to the batch
+data) *as of* the records folded so far.  A snapshot taken after every
+record is folded is byte-identical to the batch
 :class:`~repro.pipeline.runner.PaperPipeline` output: both paths feed
 the same statistics into the same :class:`FeedComparison` analyses and
 the same renderers.
 
-A checkpoint is the merge-layer cursor vector alone, written through
+A checkpoint is the per-feed cursor vector alone, written through
 :mod:`repro.io.checkpoint`: the record sources are deterministic
-functions of ``(config, seed)``, so resuming rebuilds them, replays
-each feed's consumed prefix into fresh accumulators, seeks the cursors,
-and continues exactly where the previous run stopped.
+functions of ``(config, seed)``, so resuming rebuilds them, moves the
+cursors back to where they were (folding each feed's prefix into fresh
+accumulators), and continues exactly where the previous run stopped.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Dict,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -49,6 +48,7 @@ from repro.ecosystem.world import World
 from repro.feeds import (
     FeedCollector,
     FeedDataset,
+    FeedRecord,
     PAPER_FEED_ORDER,
     collect_all,
     standard_feed_suite,
@@ -67,10 +67,10 @@ from repro.reporting.paper_tables import (
 )
 from repro.simtime import MINUTES_PER_DAY, SimTime
 from repro.store.sightings import RunWriter, SightingStore, run_key_for
-from repro.stream.merge import DEFAULT_BATCH_SIZE, RecordStream, StreamEvent
 from repro.stream.state import (
     FrozenFeedStats,
     OnlineCoverageRow,
+    StreamEvent,
     StreamState,
 )
 
@@ -178,7 +178,16 @@ class StreamSnapshot:
 
 
 class StreamEngine:
-    """Incrementally analyze feed records in simulation-time order."""
+    """Incrementally analyze feed records, one per-feed cursor each.
+
+    Every way the engine moves -- :meth:`advance_to_day`, :meth:`run`
+    and :meth:`restore` -- names a target cursor per feed and goes
+    through one private move, which folds each feed's record slice
+    through :meth:`StreamState.update`.  An accumulator only ever sees
+    its own feed's chronological subsequence, and the cross-feed
+    counters are order-independent set sizes, so folding feed by feed
+    gives the state a time-interleaved replay would.
+    """
 
     def __init__(
         self,
@@ -186,21 +195,20 @@ class StreamEngine:
         datasets: Mapping[str, FeedDataset],
         seed: int = 2012,
         feed_order: Sequence[str] = PAPER_FEED_ORDER,
-        batch_size: int = DEFAULT_BATCH_SIZE,
     ):
         self.world = world
         self.seed = seed
         self.feed_order = list(feed_order)
         self.datasets = dict(datasets)
-        self._stream = RecordStream(
-            {
-                name: ds.chronological_records()
-                for name, ds in self.datasets.items()
-            },
-            batch_size=batch_size,
-        )
+        self._records: Dict[str, List[FeedRecord]] = {
+            name: ds.chronological_records()
+            for name, ds in self.datasets.items()
+        }
+        self._cursors: Dict[str, int] = dict.fromkeys(self._records, 0)
         self.state = self._fresh_state()
         self._writer: Optional[RunWriter] = None
+        #: Per-feed records already offered to the attached store.
+        self._landed: Dict[str, int] = {}
 
     def _fresh_state(self) -> StreamState:
         return StreamState(
@@ -220,12 +228,12 @@ class StreamEngine:
         config_fingerprint: str,
         command: str = "stream",
     ) -> None:
-        """Land every consumed batch into *store*, idempotently.
+        """Land every folded record into *store*, idempotently.
 
         The run key derives from (config fingerprint, seed), the same
         identity the artifact cache uses, so a batch ``run --store``
         and a ``stream --store`` against the same file land the same
-        run exactly once.  The prefix the engine has already consumed
+        run exactly once.  The prefix the engine has already folded
         (a resumed run) lands first, so the store never misses the
         records before the resume point; the writer's positional
         prefix-skip makes that free when the prefix is already landed.
@@ -236,21 +244,28 @@ class StreamEngine:
             config_fingerprint,
             command,
         )
-        for name, cursor in self._stream.cursors.items():
-            prefix = self.datasets[name].chronological_records()[:cursor]
-            self._writer.land_sightings(
-                name, ((record.domain, record.time) for record in prefix)
-            )
+        self._landed = {}
+        for name, cursor in self._cursors.items():
+            self._land(name, cursor)
         self._writer.finish()
 
-    def _land_batch(self, batch: Sequence[StreamEvent]) -> None:
-        if self._writer is None:
+    def _land(self, name: str, target: int) -> None:
+        """Offer feed *name*'s records up to *target* to the store.
+
+        Only records past what this writer was already offered land: a
+        rewind's replay never lands a sighting twice.
+        """
+        landed = self._landed.get(name, 0)
+        if self._writer is None or target <= landed:
             return
-        groups: Dict[str, List[Tuple[str, SimTime]]] = {}
-        for time, feed, domain in batch:
-            groups.setdefault(feed, []).append((domain, time))
-        for feed, rows in groups.items():
-            self._writer.land_sightings(feed, rows)
+        self._writer.land_sightings(
+            name,
+            (
+                (record.domain, record.time)
+                for record in self._records[name][landed:target]
+            ),
+        )
+        self._landed[name] = target
 
     def finish_store(self) -> None:
         """Commit any store landings performed so far."""
@@ -258,60 +273,68 @@ class StreamEngine:
             self._writer.finish()
 
     # ------------------------------------------------------------------
-    # Consumption
+    # Moving the cursors
     # ------------------------------------------------------------------
 
     @property
     def exhausted(self) -> bool:
-        """True once every source record has been consumed."""
-        return self._stream.exhausted
+        """True once every feed's cursor is at the end of its records."""
+        return all(
+            cursor == len(self._records[name])
+            for name, cursor in self._cursors.items()
+        )
 
     @property
     def records_processed(self) -> int:
         """Total records folded into the state so far."""
         return self.state.records_processed
 
-    @property
-    def position(self) -> Optional[SimTime]:
-        """Simulation time of the last consumed record."""
-        return self._stream.position
+    def _move(self, targets: Mapping[str, int]) -> int:
+        """Move every feed's cursor to its target; returns #folded.
 
-    def process(
-        self,
-        max_records: Optional[int] = None,
-        until_time: Optional[SimTime] = None,
-    ) -> int:
-        """Consume events (bounded by count and/or time); returns #consumed."""
-        consumed = 0
-        batches = 0
-        while max_records is None or consumed < max_records:
-            limit = None if max_records is None else max_records - consumed
-            batch = self._stream.next_batch(limit=limit, until_time=until_time)
-            if not batch:
-                break
-            self.state.update_batch(batch)
-            self._land_batch(batch)
-            consumed += len(batch)
-            batches += 1
+        A target behind its cursor restarts the fold from a fresh state
+        with zero cursors, so the count includes that replay.
+        """
+        if any(targets[name] < cursor for name, cursor in self._cursors.items()):
+            self.state = self._fresh_state()
+            self._cursors = dict.fromkeys(self._cursors, 0)
+        update = self.state.update
+        before = self.state.records_processed
+        for name, records in self._records.items():
+            for record in records[self._cursors[name] : targets[name]]:
+                update(StreamEvent(record.time, name, record.domain))
+            self._land(name, targets[name])
+            self._cursors[name] = targets[name]
+        folded = self.state.records_processed - before
         if self._writer is not None:
             self._writer.finish()
-        obs.add("stream.records", consumed)
-        obs.add("stream.batches", batches)
-        return consumed
+        obs.add("stream.records", folded)
+        return folded
 
     def advance_to_day(self, day: int) -> int:
-        """Consume everything before the start of (zero-based) *day*."""
+        """Fold everything before the start of (zero-based) *day*.
+
+        Moves in either direction: an earlier day than the engine's
+        replays from the start.  Returns the records folded.
+        """
         boundary = self.world.timeline.start + day * MINUTES_PER_DAY
         with obs.span("stream.advance", day=day) as span:
-            consumed = self.process(until_time=boundary)
+            consumed = self._move(
+                {
+                    name: _count_before(records, boundary)
+                    for name, records in self._records.items()
+                }
+            )
             if span is not None:
                 span.attributes["records"] = consumed
         return consumed
 
     def run(self) -> int:
-        """Drain the stream to the end of the window; returns #consumed."""
+        """Fold every remaining record; returns #folded."""
         with obs.span("stream.drain") as span:
-            consumed = self.process()
+            consumed = self._move(
+                {name: len(records) for name, records in self._records.items()}
+            )
             if span is not None:
                 span.attributes["records"] = consumed
         return consumed
@@ -336,27 +359,6 @@ class StreamEngine:
         """The cheap oracle-free running coverage view."""
         return self.state.online_coverage()
 
-    def daily_snapshots(
-        self, every_days: int = 1
-    ) -> Iterator[StreamSnapshot]:
-        """Windowed emission: a snapshot after each *every_days* of data.
-
-        Yields the snapshot as of the end of day ``every_days``,
-        ``2*every_days``, ... up to and including the end of the window
-        (the final snapshot covers the fully drained stream).
-        """
-        if every_days <= 0:
-            raise ValueError("every_days must be positive")
-        timeline = self.world.timeline
-        total_days = int(timeline.duration_days)
-        day = every_days
-        while day < total_days:
-            self.advance_to_day(day)
-            yield self.snapshot()
-            day += every_days
-        self.run()
-        yield self.snapshot()
-
     # ------------------------------------------------------------------
     # Checkpoint / resume
     # ------------------------------------------------------------------
@@ -371,7 +373,7 @@ class StreamEngine:
         return {
             "seed": self.seed,
             "feed_order": list(self.feed_order),
-            "cursors": self._stream.cursors,
+            "cursors": dict(self._cursors),
         }
 
     def save_checkpoint(self, path: str) -> None:
@@ -384,13 +386,9 @@ class StreamEngine:
         The engine must have been constructed over the same world and
         datasets (same seed and feed suite) as the checkpointing run;
         a mismatched or malformed payload raises
-        :class:`CheckpointError`.  Each feed's consumed prefix is
-        replayed through a fresh :class:`StreamState`.  An accumulator
-        only ever sees its own feed's chronological subsequence, so
-        per-feed replay rebuilds the exact state the live engine had:
-        the cross-feed interleaving it skips does not affect any
-        accumulator, and the cross-feed counters are order-independent
-        set sizes.
+        :class:`CheckpointError`.  Otherwise the engine moves its
+        cursors to the checkpoint's, which folds each feed's prefix and
+        so rebuilds the exact state the checkpointing engine had.
         """
         seed, feed_order, cursors = _parse_checkpoint(payload)
         if seed != self.seed:
@@ -403,28 +401,17 @@ class StreamEngine:
                 "checkpoint feeds do not match engine feeds: "
                 f"{sorted(cursors)} vs {sorted(self.datasets)}"
             )
-        sources = {
-            name: ds.chronological_records()
-            for name, ds in self.datasets.items()
-        }
         for name, cursor in cursors.items():
-            if not 0 <= cursor <= len(sources[name]):
+            size = len(self._records[name])
+            if not 0 <= cursor <= size:
                 raise CheckpointError(
                     f"checkpoint cursor {cursor} out of range for feed "
-                    f"{name!r} (0..{len(sources[name])})"
+                    f"{name!r} (0..{size})"
                 )
-        state = self._fresh_state()
-        replayed = sum(  # reprolint: disable=REP004 -- int cursor counts
-            cursors.values()
-        )
-        with obs.span("stream.replay", records=replayed):
-            for name, records in sources.items():
-                state.update_batch(
-                    StreamEvent(record.time, name, record.domain)
-                    for record in records[: cursors[name]]
-                )
-        self._stream.seek(cursors)
-        self.state = state
+        with obs.span("stream.replay") as span:
+            replayed = self._move(cursors)
+            if span is not None:
+                span.attributes["records"] = replayed
         self.feed_order = feed_order
 
     @classmethod
@@ -433,12 +420,11 @@ class StreamEngine:
         world: World,
         datasets: Mapping[str, FeedDataset],
         path: str,
-        batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> "StreamEngine":
         """Build an engine over *datasets* positioned at checkpoint *path*."""
         payload = read_checkpoint(path, CHECKPOINT_KIND)
         seed, _, _ = _parse_checkpoint(payload)
-        engine = cls(world, datasets, seed=seed, batch_size=batch_size)
+        engine = cls(world, datasets, seed=seed)
         engine.restore(payload)
         return engine
 
@@ -490,12 +476,24 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _count_before(records: Sequence[FeedRecord], boundary: SimTime) -> int:
+    """How many of the time-sorted *records* fall strictly before
+    *boundary* (a bisection on ``record.time``)."""
+    lo, hi = 0, len(records)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if records[mid].time < boundary:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 def build_stream_engine(
     config: Optional[EcosystemConfig] = None,
     seed: int = 2012,
     collectors: Optional[Sequence[FeedCollector]] = None,
     feed_order: Sequence[str] = PAPER_FEED_ORDER,
-    batch_size: int = DEFAULT_BATCH_SIZE,
     jobs: Optional[int] = None,
     cache: Optional["ArtifactCache"] = None,
     shards: Optional[int] = None,
@@ -533,7 +531,4 @@ def build_stream_engine(
             datasets = collect_all(
                 world, collectors or standard_feed_suite(seed)
             )
-    return StreamEngine(
-        world, datasets, seed=seed, feed_order=feed_order,
-        batch_size=batch_size,
-    )
+    return StreamEngine(world, datasets, seed=seed, feed_order=feed_order)

@@ -16,20 +16,27 @@ any moment.  Two layers:
   cheap always-current :meth:`online_coverage` view that needs no
   oracle access at all.
 
-State is never serialized: a checkpoint holds only the merge cursors,
-and resuming replays each feed's consumed prefix through
+State is never serialized: a checkpoint holds only the per-feed
+cursors, and resuming replays each feed's consumed prefix through
 :meth:`StreamState.update`, the one accumulation path.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from repro.feeds.base import FeedStats, FeedType
+from repro.feeds.base import FeedType
 from repro.simtime import SimTime
 from repro.stats.distributions import EmpiricalDistribution
-from repro.stream.merge import StreamEvent
+
+
+class StreamEvent(NamedTuple):
+    """One sighting: which feed saw which domain, and when."""
+
+    time: SimTime
+    feed: str
+    domain: str
 
 
 class StreamStateError(ValueError):
@@ -196,7 +203,7 @@ class StreamState:
     # ------------------------------------------------------------------
 
     def update(self, event: StreamEvent) -> None:
-        """Absorb one merged stream event."""
+        """Absorb one sighting."""
         time, feed, domain = event
         try:
             accumulator = self.accumulators[feed]
@@ -225,11 +232,6 @@ class StreamState:
                 self._pair_counts[_pair_key(feed, other)] = (
                     self._pair_counts.get(_pair_key(feed, other), 0) + 1
                 )
-
-    def update_batch(self, events: Iterable[StreamEvent]) -> None:
-        """Absorb a batch of merged events."""
-        for event in events:
-            self.update(event)
 
     # ------------------------------------------------------------------
     # Online (oracle-free) views

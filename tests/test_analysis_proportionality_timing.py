@@ -21,7 +21,7 @@ from repro.analysis.timing import (
     last_appearance_gaps,
     _percentile,
 )
-from repro.feeds.base import FeedDataset, FeedRecord, FeedType
+from repro.feeds.base import FeedDataset, FeedType
 from repro.simtime import days
 
 from tests.test_analysis_context import make_feeds

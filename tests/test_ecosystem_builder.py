@@ -4,7 +4,6 @@ import pytest
 
 from repro.ecosystem import WorldBuilder, build_world, small_config
 from repro.ecosystem.entities import AddressStrategy, CampaignClass
-from repro.ecosystem.registry import tld_of
 
 
 class TestPopulations:

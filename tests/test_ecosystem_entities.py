@@ -13,7 +13,6 @@ from repro.ecosystem.entities import (
     GoodsCategory,
     total_emitted_volume,
 )
-from repro.simtime import days
 
 
 def make_placement(domain="x.com", start=0, end=100, volume=50.0, lag=0):

@@ -242,6 +242,19 @@ class TestScaleSummary:
             # shard count is reported, everything else must fold equal
             assert dataclasses.replace(other, shards=1) == baseline
 
+    @needs_fork
+    def test_event_count_and_extremes_fold_without_a_merge(self):
+        config = small_config()
+        world = build_world_sharded(config, seed=7, shards=1)
+        starts = [p.start for c in world.campaigns for p in c.placements]
+        for shards in (1, 2, 4):
+            summary = summarize_world_sharded(
+                config, seed=7, shards=shards, jobs=2
+            )
+            assert summary.merged_events == summary.placements == len(starts)
+            assert summary.first_event == min(starts)
+            assert summary.last_event == max(starts)
+
 
 class TestScaledConfig:
     def test_scale_changes_cache_fingerprint(self):

@@ -1,7 +1,5 @@
 """Unit tests for the feed data model."""
 
-import pytest
-
 from repro.feeds.base import FeedDataset, FeedRecord, FeedType
 
 

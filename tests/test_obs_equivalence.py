@@ -138,5 +138,4 @@ class TestStreamEquivalence:
         assert rendered == baseline
         counters = tracer.metrics.snapshot()["counters"]
         assert counters["stream.records"] == traced.records_processed
-        assert counters["stream.batches"] > 0
         assert "stream.drain" in tracer.stage_names()

@@ -16,7 +16,6 @@ import textwrap
 import pytest
 
 from repro.devtools import (
-    LintConfig,
     ProjectGraph,
     lint_paths,
     lint_source,

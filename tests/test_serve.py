@@ -209,6 +209,40 @@ class TestCoalescing:
         assert counters["serve.snapshots_built"] == 2
         assert counters["serve.snapshot_hits"] >= 1
 
+    def test_rewinding_snapshots_reuse_one_engine(self, monkeypatch):
+        from repro.ecosystem import small_config
+        from repro.pipeline import PaperPipeline
+
+        build = PaperPipeline.stream_engine
+        built = []
+
+        def counted(pipeline):
+            built.append(pipeline.seed)
+            return build(pipeline)
+
+        monkeypatch.setattr(PaperPipeline, "stream_engine", counted)
+        app = _make_app()
+        days = [9, 3, 12, 1, 3, 0]
+        try:
+            bodies = {}
+            for day in days:
+                response = app.handle("/v1/snapshot", {"day": [str(day)]})
+                assert response.status == 200
+                bodies.setdefault(day, response.body)
+                assert response.body == bodies[day]
+            # Three rewinds (9->3, 12->1, 1->0), one engine.
+            assert built == [SMALL_SEED]
+
+            entry = app.worlds.entry(small_config(), SMALL_SEED)
+            forward = build(entry.pipeline)
+            for day in sorted(bodies):
+                forward.advance_to_day(day)
+                snapshot = forward.snapshot()
+                expected = f"{snapshot.header()}\n\n{snapshot.render_tables()}\n"
+                assert bodies[day] == expected.encode("utf-8")
+        finally:
+            app.worlds.close()
+
     def test_bad_requests_are_400_not_500(self, daemon):
         assert _get(daemon, "/v1/tables?seed=x")[0] == 400
         assert _get(daemon, "/v1/snapshot")[0] == 400

@@ -170,6 +170,27 @@ class TestSqliteDurability:
             assert not writer.created
             assert writer.cursor("mx1") == 2
 
+    def test_reopen_drops_the_unread_silver_index(self, tmp_path):
+        path = str(tmp_path / "old.sqlite")
+        SightingStore.open(path).close()
+        conn = sqlite3.connect(path)
+        conn.execute(
+            "CREATE INDEX idx_silver_run_feed ON silver(run_id, feed, seq)"
+        )
+        conn.commit()
+        conn.close()
+        SightingStore.open(path).close()
+        conn = sqlite3.connect(path)
+        indexes = {
+            row[0]
+            for row in conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'index'"
+            )
+        }
+        conn.close()
+        assert "idx_silver_run_feed" not in indexes
+        assert "idx_silver_feed" in indexes
+
     def test_refuses_foreign_sqlite_file(self, tmp_path):
         path = str(tmp_path / "foreign.sqlite")
         conn = sqlite3.connect(path)

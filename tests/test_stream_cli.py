@@ -1,6 +1,9 @@
 """CLI tests for the ``stream`` subcommand and the ``--quiet`` flag."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -164,6 +167,31 @@ class TestStreamCli:
         captured = capsys.readouterr()
         assert "[stream] as of day" in captured.err
         assert "Table 3" in captured.out
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--snapshot-every", "-5"), ("--until-day", "-3")]
+    )
+    def test_negative_day_flags_exit_2(self, flag, value):
+        # A subprocess with a timeout: a negative snapshot interval once
+        # looped forever, and this must fail rather than hang on it.
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.path.abspath(src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "--small", "-q", "stream",
+             flag, value],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 2
+        assert f"repro: error: argument {flag}:" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_snapshot_every_zero_is_off(self, capsys):
+        code = main(
+            ["--small", "--seed", "7", "stream", "--snapshot-every", "0"]
+        )
+        assert code == 0
+        assert "[stream] day " not in capsys.readouterr().err
 
 
 class TestQuietFlag:

@@ -14,8 +14,8 @@ import dataclasses
 
 import pytest
 
-from repro.ecosystem import build_world, small_config
-from repro.feeds import FeedDataset, collect_all, standard_feed_suite
+from repro.ecosystem import small_config
+from repro.feeds import FeedDataset
 from repro.analysis import FeedComparison
 from repro.pipeline import PaperPipeline
 from repro.simtime import MINUTES_PER_DAY
@@ -76,16 +76,6 @@ class TestSmallWorldEquivalence:
     def test_drained_stream_matches_batch(self, small_pipeline):
         _, snapshot = _drained_snapshot(small_pipeline)
         _assert_snapshot_matches_batch(small_pipeline, snapshot)
-
-    def test_batch_size_does_not_affect_results(self, small_pipeline):
-        baseline = small_pipeline.stream_engine()
-        baseline.run()
-        tiny = small_pipeline.stream_engine(batch_size=17)
-        tiny.run()
-        assert (
-            tiny.snapshot().render_tables()
-            == baseline.snapshot().render_tables()
-        )
 
     def test_online_coverage_matches_snapshot_counters(self, small_pipeline):
         engine, snapshot = _drained_snapshot(small_pipeline)
@@ -184,17 +174,6 @@ class TestWindowedSnapshots:
         order = [n for n in engine.feed_order if n in truncated]
         assert snapshot.table2() == purity_table(comparison, order)
         assert snapshot.table3() == coverage_table(comparison, order)
-
-    def test_daily_snapshots_are_monotone_and_end_drained(
-        self, small_world, small_datasets
-    ):
-        engine = StreamEngine(small_world, small_datasets, seed=7)
-        seen = list(engine.daily_snapshots(every_days=23))
-        counts = [s.records_processed for s in seen]
-        assert counts == sorted(counts)
-        assert engine.exhausted
-        total = sum(ds.total_samples for ds in small_datasets.values())
-        assert counts[-1] == total
 
     def test_snapshot_is_immutable_under_further_consumption(
         self, small_world, small_datasets

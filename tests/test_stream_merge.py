@@ -1,4 +1,4 @@
-"""Unit tests for the stream merge layer, accumulators and checkpoints."""
+"""Unit tests for the stream engine's cursors, accumulators and checkpoints."""
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,81 +10,158 @@ from repro.io.checkpoint import (
     read_checkpoint,
     write_checkpoint,
 )
+from repro.simtime import MINUTES_PER_DAY
+from repro.store import SightingStore
 from repro.stream import (
     FeedAccumulator,
-    RecordStream,
     StreamEngine,
+    StreamEvent,
     StreamState,
     StreamStateError,
 )
-from repro.stream.merge import StreamEvent
+from tests.test_stream_equivalence import _assert_same_state
 
 
 def _records(*times):
     return [FeedRecord(f"d{t}.com", t) for t in times]
 
 
-class TestRecordStream:
-    def test_time_ordered_interleave(self):
-        stream = RecordStream(
-            {"a": _records(5, 10, 20), "b": _records(1, 12)}
-        )
-        times = [event.time for event in stream]
-        assert times == sorted(times) == [1, 5, 10, 12, 20]
+def _engine(world, sources):
+    datasets = {
+        name: FeedDataset(name, FeedType.MX_HONEYPOT, records)
+        for name, records in sources.items()
+    }
+    return StreamEngine(world, datasets, seed=7, feed_order=list(datasets))
 
-    def test_tie_broken_by_source_registration_order(self):
-        a = [FeedRecord("x.com", 7)]
-        b = [FeedRecord("y.com", 7)]
-        stream = RecordStream({"b": b, "a": a})
-        feeds = [event.feed for event in stream]
-        assert feeds == ["b", "a"]
 
-    def test_batch_size_bound(self):
-        stream = RecordStream({"a": _records(*range(10))}, batch_size=3)
-        batch = stream.next_batch()
-        assert len(batch) == 3
-        assert stream.emitted == 3
-        assert len(stream.next_batch(limit=2)) == 2
+#: Sightings as (day, minute of day, domain): the first minute of a day
+#: sits exactly on an advance boundary, and few choices make same-time
+#: ties within and across feeds common.
+_sightings = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=5),
+        st.sampled_from((0, 1, MINUTES_PER_DAY - 1)),
+        st.sampled_from(("a.com", "b.com", "c.com")),
+    ),
+    max_size=12,
+)
 
-    def test_until_time_is_exclusive(self):
-        stream = RecordStream({"a": _records(1, 2, 3)})
-        batch = stream.next_batch(until_time=3)
-        assert [event.time for event in batch] == [1, 2]
-        assert not stream.exhausted
-        assert stream.peek_time() == 3
 
-    def test_cursors_and_seek_roundtrip(self):
-        sources = {"a": _records(1, 4, 9), "b": _records(2, 3)}
-        stream = RecordStream(sources)
-        stream.next_batch(limit=3)
-        saved = stream.cursors
-        rest = [event for event in stream]
+class TestEngineCursors:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        feeds=st.lists(_sightings, min_size=1, max_size=3),
+        days=st.lists(
+            st.integers(min_value=0, max_value=7), min_size=1, max_size=6
+        ),
+    )
+    @example(feeds=[[(1, 0, "a.com"), (1, 0, "b.com")]], days=[2, 1, 0])
+    def test_advance_in_either_direction_matches_a_fresh_engine(
+        self, small_world, feeds, days
+    ):
+        start = small_world.timeline.start
+        sources = {
+            f"f{index}": sorted(
+                (
+                    FeedRecord(domain, start + day * MINUTES_PER_DAY + minute)
+                    for day, minute, domain in picks
+                ),
+                key=lambda record: record.time,
+            )
+            for index, picks in enumerate(feeds)
+        }
+        engine = _engine(small_world, sources)
+        for day in days:
+            before = engine.checkpoint_payload()["cursors"]
+            processed = engine.records_processed
+            folded = engine.advance_to_day(day)
 
-        fresh = RecordStream(sources)
-        fresh.seek(saved)
-        assert [event for event in fresh] == rest
+            fresh = _engine(small_world, sources)
+            fresh.advance_to_day(day)
+            _assert_same_state(engine.state, fresh.state)
 
-    def test_seek_rejects_unknown_feed_and_bad_range(self):
-        stream = RecordStream({"a": _records(1)})
+            boundary = start + day * MINUTES_PER_DAY
+            cursors = engine.checkpoint_payload()["cursors"]
+            for name, records in sources.items():
+                assert cursors[name] == sum(
+                    1 for record in records if record.time < boundary
+                )
+            rewound = any(cursors[name] < before[name] for name in sources)
+            assert folded == engine.records_processed - (
+                0 if rewound else processed
+            )
+
+    def test_rewind_never_lands_a_sighting_twice(self, small_world):
+        start = small_world.timeline.start
+        day = MINUTES_PER_DAY
+        sources = {
+            "a": _records(start + 1, start + day + 1, start + 2 * day + 1),
+            "b": _records(start + 2, start + 2 * day + 2),
+        }
+        engine = _engine(small_world, sources)
+        store = SightingStore.in_memory()
+        engine.attach_store(store, "cfg")
+        engine.advance_to_day(2)
+        engine.advance_to_day(1)
+        engine.run()
+        landed = {row.feed: row.sightings for row in store.feed_summaries()}
+        assert landed == {"a": 3, "b": 2}
+
+    def test_day_boundary_is_exclusive(self, small_world):
+        start = small_world.timeline.start
+        day = MINUTES_PER_DAY
+        times = (start, start + day - 1, start + day, start + day + 1)
+        engine = _engine(small_world, {"a": _records(*times)})
+        assert engine.advance_to_day(1) == 2
+        assert engine.state.clock == start + day - 1
+        assert not engine.exhausted
+
+    def test_checkpoint_cursors_roundtrip(self, small_world):
+        start = small_world.timeline.start
+        day = MINUTES_PER_DAY
+        sources = {
+            "a": _records(start + 1, start + 4, start + day + 9),
+            "b": _records(start + 2, start + day, start + day + 3),
+        }
+        engine = _engine(small_world, sources)
+        engine.advance_to_day(1)
+        saved = engine.checkpoint_payload()
+        assert saved["cursors"] == {"a": 2, "b": 1}
+
+        fresh = _engine(small_world, sources)
+        fresh.restore(saved)
+        _assert_same_state(fresh.state, engine.state)
+        engine.run()
+        fresh.run()
+        _assert_same_state(fresh.state, engine.state)
+
+    def test_restore_rejects_unknown_feed_and_bad_range(self, small_world):
+        engine = _engine(small_world, {"a": _records(1)})
+        with pytest.raises(CheckpointError):
+            engine.restore({"seed": 7, "feed_order": [], "cursors": {"zz": 0}})
+        with pytest.raises(CheckpointError):
+            engine.restore({"seed": 7, "feed_order": [], "cursors": {"a": 5}})
+
+    def test_unordered_dataset_folds_in_time_order(self, small_world):
+        start = small_world.timeline.start
+        late = FeedRecord("late.com", start + MINUTES_PER_DAY + 5)
+        early = FeedRecord("early.com", start + 5)
+        engine = _engine(small_world, {"a": [late, early]})
+        assert engine.advance_to_day(1) == 1
+        assert engine.state.accumulators["a"].unique_domains() == {
+            "early.com"
+        }
+
+    def test_empty_datasets_rejected(self, small_world):
         with pytest.raises(ValueError):
-            stream.seek({"zz": 0})
-        with pytest.raises(ValueError):
-            stream.seek({"a": 5})
+            StreamEngine(small_world, {})
 
-    def test_unordered_source_rejected(self):
-        with pytest.raises(ValueError, match="not time-ordered"):
-            RecordStream({"a": [FeedRecord("x.com", 5), FeedRecord("y.com", 1)]})
-
-    def test_empty_sources_rejected(self):
-        with pytest.raises(ValueError):
-            RecordStream({})
-
-    def test_exhaustion(self):
-        stream = RecordStream({"a": _records(1)})
-        assert not stream.exhausted
-        stream.next_batch()
-        assert stream.exhausted
-        assert stream.next_batch() == []
+    def test_exhaustion(self, small_world):
+        engine = _engine(small_world, {"a": _records(1)})
+        assert not engine.exhausted
+        assert engine.run() == 1
+        assert engine.exhausted
+        assert engine.run() == 0
 
     def test_chronological_records_sorts_unsorted_dataset(self):
         dataset = FeedDataset(
